@@ -11,7 +11,7 @@ from .analysis import (
     exp_integral_e1,
     optimize_beta,
 )
-from .combiners import SchemeId, beta_wsc2, combine_lar, combine_sc, combine_wsc, lar_power_factor
+from .combiners import SchemeId, beta_wsc2
 from .fading import derive_stream
 from .link import BlockObservables, SystemParams, simulate_block
 from .simulator import BerEstimate, SimConfig, run_simulation, sweep, wilson_interval

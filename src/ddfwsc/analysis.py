@@ -339,9 +339,9 @@ def _wsc2_k2(ctx: ClosedFormContext) -> float:
 def aber_wsc2(ctx: ClosedFormContext) -> float:
     """Closed-form average BER of WSC with the adaptive weight min(1, gamma1/gbar2)."""
     if ctx.gbar1 <= 0:
-        raise ValueError("aber_wsc2 requires gbar1 > 0 (phi undefined otherwise)")
+        raise ValueError("gamma_bar_1 must be positive for the wsc2 closed form")
     if ctx.gbar2 <= 0:
-        raise ValueError("aber_wsc2 requires gbar2 > 0")
+        raise ValueError("gamma_bar_2 must be positive for the wsc2 closed form")
     return _wsc2_l1(ctx) + _wsc2_l2(ctx) + _wsc2_k1(ctx) + _wsc2_k2(ctx)
 
 

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import __version__, analysis
 from .analysis import ClosedFormContext
-from .combiners import SchemeId
+from .combiners import SCHEMES, SchemeId
 from .link import SystemParams
 from .simulator import SimConfig, run_simulation, sweep
-from .validation import run_checks
 
 COLUMNS = ["snr_db", "scheme", "beta", "ber_sim", "ci95_low", "ci95_high",
            "ber_analytic", "ber_asymptotic", "bit_errors", "bits"]
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="evaluate closed-form ABER")
-    p.add_argument("--scheme", choices=("sc", "wsc1", "wsc2"), required=True)
+    p.add_argument("--scheme", choices=[s.value for s, rule in SCHEMES.items() if rule.aber is not None],
+                   required=True)
     p.add_argument("--snr-db", required=True, help="P0/N0 in dB; single value or range")
     p.add_argument("--beta", type=float, default=None, help="fixed WSC1 weight (optimized if omitted)")
     _add_common(p)
@@ -134,9 +134,9 @@ def _sigma(args) -> tuple[float, float, float]:
     return (args.sigma0, args.sigma1, args.sigma2)
 
 
-def _estimate_record(snr_db, scheme, beta, est, analytic, asym=None) -> dict:
+def _estimate_record(snr_db, scheme, beta_wsc1, est, analytic, asym=None) -> dict:
     return {
-        "snr_db": snr_db, "scheme": scheme.value, "beta": beta,
+        "snr_db": snr_db, "scheme": scheme.value, "beta": SCHEMES[scheme].beta_column(beta_wsc1),
         "ber_sim": est.ber if est else None,
         "ci95_low": est.ci95_low if est else None,
         "ci95_high": est.ci95_high if est else None,
@@ -147,108 +147,67 @@ def _estimate_record(snr_db, scheme, beta, est, analytic, asym=None) -> dict:
 
 
 def cmd_analyze(args) -> list[dict]:
-    snrs = parse_range(args.snr_db)
+    scheme = SchemeId(args.scheme)
     records = []
-    for snr_db in snrs:
+    for snr_db in parse_range(args.snr_db):
         ctx = ClosedFormContext.from_db(snr_db, _sigma(args))
-        if args.scheme == "wsc2":
-            if ctx.gbar1 <= 0:
-                raise ValueError("gamma_bar_1 must be positive for the wsc2 closed form")
-            if ctx.gbar2 <= 0:
-                raise ValueError("gamma_bar_2 must be positive for the wsc2 closed form")
-            ber, beta = analysis.aber_wsc2(ctx), None
-            scheme = SchemeId.WSC2
-        elif args.scheme == "sc":
-            ber, beta = analysis.aber_wsc1(1.0, ctx), 1.0
-            scheme = SchemeId.SC
+        if scheme is SchemeId.WSC1 and args.beta is None:
+            beta, ber = analysis.optimize_beta(ctx)
         else:
-            if args.beta is not None:
-                beta, ber = args.beta, analysis.aber_wsc1(args.beta, ctx)
-            else:
-                beta, ber = analysis.optimize_beta(ctx)
-            scheme = SchemeId.WSC1
+            beta = 1.0 if args.beta is None else args.beta
+            ber = SCHEMES[scheme].aber(beta, ctx)
         records.append(_estimate_record(snr_db, scheme, beta, None, ber))
     return records
 
 
-def _make_cfg(args, schemes, beta) -> SimConfig:
-    params = SystemParams(p0_over_n0_db=args.snr_db if isinstance(args.snr_db, float) else 0.0,
-                          sigma_sq=_sigma(args), block_len=args.block_len, snr_mode=args.snr_mode)
-    return SimConfig(params=params, schemes=schemes, beta_wsc1=beta,
+def _make_cfg(args, snr_db, beta) -> SimConfig:
+    params = SystemParams(p0_over_n0_db=snr_db, sigma_sq=_sigma(args),
+                          block_len=args.block_len, snr_mode=args.snr_mode)
+    return SimConfig(params=params, schemes=_scheme_list(args.schemes), beta_wsc1=beta,
                      max_blocks=args.blocks, min_errors=args.min_errors,
                      seed=args.seed, workers=args.workers)
 
 
 def cmd_simulate(args) -> list[dict]:
-    schemes = _scheme_list(args.schemes)
-    cfg = _make_cfg(args, schemes, args.beta)
-    estimates = run_simulation(cfg)
+    cfg = _make_cfg(args, args.snr_db, args.beta)
     ctx = ClosedFormContext(*cfg.params.gamma_bars)
+    return [_estimate_record(args.snr_db, est.scheme, cfg.beta_wsc1, est,
+                             SCHEMES[est.scheme].closed_form(cfg.beta_wsc1, ctx))
+            for est in run_simulation(cfg)]
+
+
+def _sweep_records(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> list[dict]:
     records = []
-    for est in estimates:
-        analytic = None
-        beta = None
-        try:
-            if est.scheme is SchemeId.SC:
-                analytic, beta = analysis.aber_wsc1(1.0, ctx), 1.0
-            elif est.scheme is SchemeId.WSC1:
-                analytic, beta = analysis.aber_wsc1(args.beta, ctx), args.beta
-            elif est.scheme is SchemeId.WSC2:
-                analytic = analysis.aber_wsc2(ctx)
-        except ValueError:
-            pass
-        records.append(_estimate_record(args.snr_db, est.scheme, beta, est, analytic))
+    for rec in sweep(cfg, axis, values, optimize_wsc1):
+        snr_db = rec.axis_value if axis == "snr_db" else cfg.params.p0_over_n0_db
+        for est in rec.estimates:
+            # The asymptote column belongs to the SNR waterfall's wsc2 rows.
+            asym = rec.asymptotic if axis == "snr_db" and est.scheme is SchemeId.WSC2 else None
+            records.append(_estimate_record(snr_db, est.scheme, rec.beta_wsc1, est,
+                                            rec.analytic.get(est.scheme), asym))
     return records
 
 
 def cmd_sweep_beta(args) -> list[dict]:
-    betas = parse_range(args.beta)
-    schemes = _scheme_list(args.schemes)
-    args.snr_db = float(args.snr_db)
-    cfg = _make_cfg(args, schemes, 1.0)
-    records = []
-    for rec in sweep(cfg, "beta", betas):
-        for est in rec.estimates:
-            analytic = rec.analytic.get(est.scheme)
-            records.append(_estimate_record(args.snr_db, est.scheme, rec.axis_value, est, analytic))
-    return records
+    return _sweep_records(_make_cfg(args, args.snr_db, 1.0), "beta", parse_range(args.beta))
 
 
 def cmd_sweep_snr(args) -> list[dict]:
-    from dataclasses import replace
-
-    from .simulator import _SWEEP_SEED_STRIDE, _analytic_bers
-
     snrs = parse_range(args.snr_db)
-    schemes = _scheme_list(args.schemes)
-    sigma = _sigma(args)
-    symmetric = sigma == (1.0, 1.0, 1.0)
-    args.snr_db = snrs[0]
-    base_cfg = _make_cfg(args, schemes, args.beta if args.beta is not None else 1.0)
-
-    records = []
-    for idx, snr_db in enumerate(snrs):
-        params = replace(base_cfg.params, p0_over_n0_db=snr_db)
-        beta_wsc1 = args.beta
-        if SchemeId.WSC1 in schemes and beta_wsc1 is None:
-            # No fixed weight supplied: use the per-point optimum.
-            beta_wsc1, _ = analysis.optimize_beta(ClosedFormContext(*params.gamma_bars))
-        cfg = replace(base_cfg, params=params, beta_wsc1=beta_wsc1 or 1.0,
-                      seed=base_cfg.seed + _SWEEP_SEED_STRIDE * idx)
-        analytic = _analytic_bers(params, schemes, cfg.beta_wsc1)
-        asym = analysis.aber_asymptotic_wsc2(params.p0) if symmetric else None
-        for est in run_simulation(cfg):
-            beta = None
-            if est.scheme is SchemeId.SC:
-                beta = 1.0
-            elif est.scheme is SchemeId.WSC1:
-                beta = cfg.beta_wsc1
-            records.append(_estimate_record(snr_db, est.scheme, beta, est, analytic.get(est.scheme),
-                                            asym if est.scheme is SchemeId.WSC2 else None))
-    return records
+    cfg = _make_cfg(args, snrs[0], 1.0 if args.beta is None else args.beta)
+    # Without a fixed weight, WSC1 uses the per-point optimum.
+    return _sweep_records(cfg, "snr_db", snrs, optimize_wsc1=args.beta is None)
 
 
 def cmd_validate(args) -> int:
+    try:
+        from .validation import run_checks
+    except ModuleNotFoundError as exc:
+        if exc.name != "scipy":
+            raise
+        print("error: validate needs scipy; install the extra: pip install 'ddfwsc[validate]'",
+              file=sys.stderr)
+        return 2
     checks = run_checks(quick=args.quick, seed=args.seed)
     width = max(len(c.name) for c in checks)
     failed = 0

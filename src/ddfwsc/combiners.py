@@ -1,18 +1,24 @@
-"""Destination-side decision rules: SC, the two weighted SC variants, and LAR."""
+"""Destination-side decision rules: SC, the two weighted SC variants, and LAR.
+
+``SCHEMES`` is the one table of the four rules: how each decides a block,
+what it reports in the CSV beta column, and its closed-form ABER.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
+from . import analysis
+
 __all__ = [
     "SchemeId",
-    "combine_wsc",
-    "combine_sc",
-    "combine_lar",
+    "Scheme",
+    "SCHEMES",
     "beta_wsc2",
-    "lar_power_factor",
     "wsc_bits",
     "lar_bits",
 ]
@@ -25,36 +31,60 @@ class SchemeId(str, Enum):
     LAR = "lar"
 
 
-def _sign(x):
-    return np.where(np.asarray(x) >= 0, 1, -1)
+@dataclass(frozen=True)
+class Scheme:
+    """One destination rule, in terms of the configured WSC1 weight ``beta_wsc1``.
 
-
-def combine_wsc(xi0: float, xi2: float, beta: float) -> tuple[float, int]:
-    """Weighted selection: keep the direct branch unless beta*|xi2| beats |xi0|.
-
-    Ties go to the direct link (it carries no error propagation).
+    ``weight(beta_wsc1, beta_adaptive)`` is the selection weight for one
+    block, given that block's min(1, gamma1/gbar2); it is None for LAR,
+    which adds the direct and relay branches instead of selecting.
+    ``beta_column(beta_wsc1)`` is the CSV beta column: the weight when it is
+    fixed before the block is seen, None when it adapts per block.
+    ``aber(beta_wsc1, ctx)`` is the closed-form ABER (None for LAR, which
+    has none); it raises ValueError where the form is undefined.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    selected = xi0 if abs(xi0) >= beta * abs(xi2) else xi2
-    return selected, (1 if selected >= 0 else -1)
+
+    weight: Callable[[float, float], float] | None
+    beta_column: Callable[[float], float | None]
+    aber: Callable[[float, analysis.ClosedFormContext], float] | None
+
+    def closed_form(self, beta_wsc1: float, ctx: analysis.ClosedFormContext) -> float | None:
+        """The closed-form ABER, or None where there is none (LAR, degenerate gbar)."""
+        if self.aber is None:
+            return None
+        try:
+            return self.aber(beta_wsc1, ctx)
+        except ValueError:
+            return None
 
 
-def combine_sc(xi0: float, xi2: float) -> tuple[float, int]:
-    """Conventional selection combining: pick the larger-magnitude branch."""
-    return combine_wsc(xi0, xi2, 1.0)
+# The closed forms are looked up on the analysis module at call time, so a
+# replaced analysis function is the one that runs.
+SCHEMES: dict[SchemeId, Scheme] = {
+    SchemeId.SC: Scheme(weight=lambda beta_wsc1, beta_adaptive: 1.0,
+                        beta_column=lambda beta_wsc1: 1.0,
+                        aber=lambda beta_wsc1, ctx: analysis.aber_wsc1(1.0, ctx)),
+    SchemeId.WSC1: Scheme(weight=lambda beta_wsc1, beta_adaptive: beta_wsc1,
+                          beta_column=lambda beta_wsc1: beta_wsc1,
+                          aber=lambda beta_wsc1, ctx: analysis.aber_wsc1(beta_wsc1, ctx)),
+    SchemeId.WSC2: Scheme(weight=lambda beta_wsc1, beta_adaptive: beta_adaptive,
+                          beta_column=lambda beta_wsc1: None,
+                          aber=lambda beta_wsc1, ctx: analysis.aber_wsc2(ctx)),
+    SchemeId.LAR: Scheme(weight=None, beta_column=lambda beta_wsc1: None, aber=None),
+}
 
 
-def combine_lar(xi0: float, xiL: float) -> int:
-    """Linear fusion of the direct and LAR relay decision variables."""
-    return 1 if xi0 + xiL >= 0 else -1
+def _sign(x):
+    """Sign with the zero-measure tie sent to +1."""
+    return np.where(np.asarray(x) >= 0, 1, -1)
 
 
 def beta_wsc2(gamma1: float, gamma_bar2: float) -> float:
     """Adaptive selection weight from the instantaneous source-relay SNR.
 
-    gamma1 = 0 legitimately yields beta = 0, which deterministically
-    selects the direct link.
+    The same factor scales the relay's transmit power under LAR.  gamma1 = 0
+    legitimately yields beta = 0, which deterministically selects the
+    direct link.
     """
     if gamma_bar2 <= 0:
         raise ValueError(f"gamma_bar2 must be > 0, got {gamma_bar2}")
@@ -63,13 +93,12 @@ def beta_wsc2(gamma1: float, gamma_bar2: float) -> float:
     return min(1.0, gamma1 / gamma_bar2)
 
 
-def lar_power_factor(gamma1: float, gamma_bar2: float) -> float:
-    """Relay power scale used by link-adaptive relaying; same scalar as beta_wsc2."""
-    return beta_wsc2(gamma1, gamma_bar2)
-
-
 def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta: float) -> np.ndarray:
-    """Vectorized weighted-selection decisions for a whole block; beta = 0 allowed."""
+    """Weighted-selection decisions for a whole block; beta = 0 allowed.
+
+    The relay branch is used only where beta*|xi2| beats |xi0|: ties go to
+    the direct link, which carries no error propagation.
+    """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     use_direct = np.abs(xi0) >= beta * np.abs(xi2)
@@ -77,5 +106,5 @@ def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta: float) -> np.ndarray:
 
 
 def lar_bits(xi0: np.ndarray, xiL: np.ndarray) -> np.ndarray:
-    """Vectorized LAR decisions for a whole block."""
+    """LAR decisions for a whole block: the sign of the summed branches."""
     return _sign(xi0 + xiL)

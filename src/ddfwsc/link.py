@@ -7,12 +7,12 @@ reference symbol s(0) = 1 plus L data symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .combiners import lar_power_factor
-from .fading import sample_complex_gaussian, sample_fading_block
+from .combiners import _sign, beta_wsc2
+from .fading import sample_fading_block
 
 __all__ = [
     "SystemParams",
@@ -55,13 +55,18 @@ class SystemParams:
 
 @dataclass
 class BlockObservables:
-    """Per-block decision variables and relay-side quantities."""
+    """Per-block decision variables and relay-side quantities.
+
+    beta_adaptive is min(1, gamma1/gbar2), with gamma1 as snr_mode delivers
+    it: the LAR relay power factor and the WSC2 weight of this block.
+    """
 
     xi0: np.ndarray
     xi2: np.ndarray
     xiL: np.ndarray
     gamma1_exact: float
     gamma1_est: float
+    beta_adaptive: float
     relay_bits: np.ndarray
     tx_bits: np.ndarray
 
@@ -80,11 +85,6 @@ def diff_encode(bits: np.ndarray) -> np.ndarray:
 def decision_variable(y_k: complex, y_km1: complex) -> float:
     """Re{y(k) y*(k-1)}: the differential detection statistic."""
     return (y_k * np.conj(y_km1)).real
-
-
-def _sign(x):
-    """Sign with the zero-measure tie sent to +1."""
-    return np.where(np.asarray(x) >= 0, 1, -1)
 
 
 def relay_detect(y1: np.ndarray) -> np.ndarray:
@@ -139,8 +139,9 @@ def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObser
     gamma1 = gamma1_exact if params.snr_mode == "exact" else gamma1_est
 
     gbar2 = p0 * params.sigma_sq[2]
-    beta_l = lar_power_factor(gamma1, gbar2) if gbar2 > 0 else 0.0
-    yL = np.sqrt(beta_l) * sqrt_p0 * h2 * s_hat + n2
+    # A dead relay link (gbar2 = 0) degenerates to direct-only decisions.
+    beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else 0.0
+    yL = np.sqrt(beta_adaptive) * sqrt_p0 * h2 * s_hat + n2
 
     xi0 = (y0[1:] * np.conj(y0[:-1])).real
     xi2 = (y2[1:] * np.conj(y2[:-1])).real
@@ -152,6 +153,7 @@ def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObser
         xiL=xiL,
         gamma1_exact=gamma1_exact,
         gamma1_est=gamma1_est,
+        beta_adaptive=beta_adaptive,
         relay_bits=relay_bits,
         tx_bits=tx_bits,
     )

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
 from .analysis import ClosedFormContext
-from .combiners import SchemeId, lar_bits, wsc_bits
+from .combiners import SCHEMES, SchemeId, lar_bits, wsc_bits
 from .fading import derive_stream
 from .link import SystemParams, simulate_block
 
@@ -40,8 +40,8 @@ class SimConfig:
             raise ValueError("max_blocks must be >= 1")
         if self.min_errors < 0:
             raise ValueError("min_errors must be >= 0")
-        if self.beta_wsc1 <= 0:
-            raise ValueError("beta_wsc1 must be > 0")
+        if not (math.isfinite(self.beta_wsc1) and self.beta_wsc1 > 0):
+            raise ValueError(f"beta_wsc1 must be finite and > 0, got {self.beta_wsc1}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.schemes:
@@ -63,6 +63,7 @@ class SweepRecord:
     axis_value: float
     estimates: tuple[BerEstimate, ...]
     analytic: dict
+    beta_wsc1: float
     asymptotic: float | None = None
 
 
@@ -79,22 +80,13 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[
 
 def _block_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int, block_index: int) -> np.ndarray:
     obs = simulate_block(params, derive_stream(seed, block_index))
-    gbar2 = params.gamma_bars[2]
-    gamma1 = obs.gamma1_exact if params.snr_mode == "exact" else obs.gamma1_est
     out = np.empty(len(schemes), dtype=np.int64)
     for j, scheme in enumerate(schemes):
-        if scheme is SchemeId.SC:
-            bits = wsc_bits(obs.xi0, obs.xi2, 1.0)
-        elif scheme is SchemeId.WSC1:
-            bits = wsc_bits(obs.xi0, obs.xi2, beta_wsc1)
-        elif scheme is SchemeId.WSC2:
-            # A dead relay link (gbar2 = 0) degenerates to direct-only selection.
-            beta = min(1.0, gamma1 / gbar2) if gbar2 > 0 else 0.0
-            bits = wsc_bits(obs.xi0, obs.xi2, beta)
-        elif scheme is SchemeId.LAR:
+        weight = SCHEMES[scheme].weight
+        if weight is None:
             bits = lar_bits(obs.xi0, obs.xiL)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown scheme {scheme}")
+        else:
+            bits = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive))
         out[j] = int(np.count_nonzero(bits != obs.tx_bits))
     return out
 
@@ -161,56 +153,41 @@ def run_simulation(cfg: SimConfig) -> list[BerEstimate]:
     return results
 
 
-def _analytic_bers(params: SystemParams, schemes, beta_wsc1: float) -> dict:
-    """Closed-form ABER per scheme where one exists (SC, WSC1, WSC2)."""
-    g0, g1, g2 = params.gamma_bars
-    ctx = ClosedFormContext(g0, g1, g2)
-    out = {}
-    for scheme in schemes:
-        try:
-            if scheme is SchemeId.SC:
-                out[scheme] = analysis.aber_wsc1(1.0, ctx)
-            elif scheme is SchemeId.WSC1:
-                out[scheme] = analysis.aber_wsc1(beta_wsc1, ctx)
-            elif scheme is SchemeId.WSC2:
-                out[scheme] = analysis.aber_wsc2(ctx)
-        except ValueError:
-            pass
-    return out
-
-
-def sweep(cfg: SimConfig, axis: str, values) -> list[SweepRecord]:
+def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> list[SweepRecord]:
     """One run_simulation per axis value (snr_db or beta), with analytic columns.
 
     Seeds are offset per axis index so points are independent yet each
-    point stays individually reproducible.
+    point stays individually reproducible.  With optimize_wsc1 on the
+    snr_db axis, WSC1 uses each point's optimize_beta weight instead of
+    cfg.beta_wsc1.  Every point is validated before any is simulated.
     """
     values = list(values)
     if not values:
         raise ValueError("values must be nonempty")
     if any(b >= a for a, b in zip(values[1:], values[:-1])):
         raise ValueError("values must be strictly increasing")
-    if axis not in ("snr_db", "beta"):
+    if axis == "snr_db":
+        points = [replace(cfg, params=replace(cfg.params, p0_over_n0_db=v)) for v in values]
+    elif axis == "beta":
+        if optimize_wsc1:
+            raise ValueError("optimize_wsc1 applies to the snr_db axis only")
+        points = [replace(cfg, beta_wsc1=v) for v in values]
+    else:
         raise ValueError(f"axis must be 'snr_db' or 'beta', got {axis!r}")
+    contexts = [ClosedFormContext(*p.params.gamma_bars) for p in points]
 
     records = []
     symmetric = len(set(cfg.params.sigma_sq)) == 1 and cfg.params.sigma_sq[0] == 1.0
-    for idx, value in enumerate(values):
-        if axis == "snr_db":
-            params = replace(cfg.params, p0_over_n0_db=value)
-            point_cfg = replace(cfg, params=params, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
-            beta1 = cfg.beta_wsc1
-        else:
-            if value <= 0:
-                raise ValueError("beta values must be > 0")
-            params = cfg.params
-            point_cfg = replace(cfg, beta_wsc1=value, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
-            beta1 = value
-        estimates = tuple(run_simulation(point_cfg))
-        analytic = _analytic_bers(params, cfg.schemes, beta1)
+    for idx, (value, point, ctx) in enumerate(zip(values, points, contexts)):
+        if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
+            point = replace(point, beta_wsc1=analysis.optimize_beta(ctx)[0])
+        point = replace(point, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
+        estimates = tuple(run_simulation(point))
+        analytic = {s: ber for s in cfg.schemes
+                    if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
         asym = None
         if symmetric and SchemeId.WSC2 in cfg.schemes:
-            asym = analysis.aber_asymptotic_wsc2(params.p0)
-        records.append(SweepRecord(axis_value=value, estimates=estimates,
-                                   analytic=analytic, asymptotic=asym))
+            asym = analysis.aber_asymptotic_wsc2(point.params.p0)
+        records.append(SweepRecord(axis_value=value, estimates=estimates, analytic=analytic,
+                                   beta_wsc1=point.beta_wsc1, asymptotic=asym))
     return records

@@ -13,8 +13,6 @@ Xi) is caught by comparison.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy import integrate
 

@@ -87,6 +87,14 @@ class TestSimulate:
         proc = run_cli(["simulate", "--snr-db", "10", "--blocks", "0"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep-beta"])
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_nonfinite_beta_usage_error(self, command, beta):
+        proc = run_cli([command, "--schemes", "sc,wsc1", "--snr-db", "10", "--beta", beta,
+                        "--blocks", "20", "--block-len", "8"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_seed_reproducibility_and_workers(self, capsys):
         args = ["simulate", "--schemes", "sc,wsc2", "--snr-db", "5", "--blocks", "200",
                 "--block-len", "32", "--min-errors", "0", "--seed", "13"]
@@ -108,6 +116,14 @@ class TestSweepCommands:
         assert len(rows) == 4
         betas = [float(r.split(",")[2]) for r in rows]
         assert betas == sorted(betas)
+
+    def test_sweep_beta_column_only_on_wsc1(self, capsys):
+        rc = main(["sweep-beta", "--beta", "0.5", "--schemes", "sc,wsc1,wsc2,lar", "--snr-db", "10",
+                   "--blocks", "50", "--block-len", "16", "--min-errors", "0", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        betas = {r.split(",")[1]: r.split(",")[2] for r in out.strip().splitlines()[1:]}
+        assert betas == {"sc": "1.0", "wsc1": "0.5", "wsc2": "", "lar": ""}
 
     def test_sweep_snr_schemes_and_asymptotic(self, capsys):
         rc = main(["sweep-snr", "--snr-db", "5:10:5", "--schemes", "sc,lar,wsc1,wsc2",
@@ -163,3 +179,29 @@ class TestValidate:
         proc = run_cli(["analyze", "--scheme", "sc", "--snr-db", "10", "--out", str(target)])
         assert proc.returncode == 0
         assert target.read_text().startswith("snr_db,scheme")
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_import_leaves_scipy_out(self):
+        script = "import sys, ddfwsc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_without_scipy(self):
+        script = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from ddfwsc.cli import main
+sim = ["--blocks", "20", "--block-len", "8", "--min-errors", "0"]
+for argv in (["analyze", "--scheme", "wsc1", "--snr-db", "10"],
+             ["simulate", "--schemes", "sc,wsc1,wsc2,lar", "--snr-db", "10", *sim],
+             ["sweep-beta", "--beta", "0.5:1:0.5", "--schemes", "sc,wsc1", *sim],
+             ["sweep-snr", "--snr-db", "0:10:5", *sim]):
+    assert main(argv) == 0, argv
+sys.exit(main(["validate", "--quick"]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "ddfwsc[validate]" in proc.stderr
+        assert proc.stdout.count("snr_db,scheme,beta") == 4

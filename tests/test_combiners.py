@@ -2,52 +2,53 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddfwsc.combiners import (
-    SchemeId,
-    beta_wsc2,
-    combine_lar,
-    combine_sc,
-    combine_wsc,
-    lar_bits,
-    lar_power_factor,
-    wsc_bits,
-)
+from ddfwsc.analysis import ClosedFormContext, aber_wsc1, aber_wsc2
+from ddfwsc.combiners import SCHEMES, SchemeId, beta_wsc2, lar_bits, wsc_bits
+from ddfwsc.fading import derive_stream
+from ddfwsc.link import SystemParams, simulate_block
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
 
+def wsc(xi0, xi2, beta):
+    """One weighted-selection decision through the block rule."""
+    return int(wsc_bits(np.array([xi0]), np.array([xi2]), beta)[0])
+
+
 class TestCombineWsc:
     def test_relay_selected(self):
-        selected, bit = combine_wsc(1.0, -3.0, 0.5)
-        assert selected == -3.0 and bit == -1
+        # beta*|xi2| = 1.5 beats |xi0| = 1, so the relay's sign decides.
+        assert wsc(1.0, -3.0, 0.5) == -1
 
     def test_beta_one_is_sc(self):
-        assert combine_wsc(-2.0, 1.0, 1.0) == (-2.0, -1)
+        assert SCHEMES[SchemeId.SC].weight(0.3, 0.7) == 1.0
+        assert wsc(-2.0, 1.0, 1.0) == -1
+        assert wsc(1.0, -2.0, 1.0) == -1
 
     def test_small_beta_prefers_direct(self):
-        selected, bit = combine_wsc(1.0, 5.0, 1e-9)
-        assert selected == 1.0 and bit == 1
+        assert wsc(1.0, -5.0, 1e-9) == 1
 
     def test_tie_goes_to_direct(self):
-        selected, _ = combine_wsc(2.0, -2.0, 1.0)
-        assert selected == 2.0
+        assert wsc(2.0, -2.0, 1.0) == 1
+        assert wsc(-1.0, 4.0, 0.25) == -1
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
-            combine_wsc(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            combine_wsc(1.0, 1.0, -0.5)
+            wsc_bits(np.ones(3), np.ones(3), -0.5)
 
     @given(finite, finite)
     def test_sc_equals_wsc_at_unit_weight(self, xi0, xi2):
-        assert combine_sc(xi0, xi2) == combine_wsc(xi0, xi2, 1.0)
+        # SC picks the larger-magnitude branch, the direct one on a tie.
+        expected = xi0 if abs(xi0) >= abs(xi2) else xi2
+        assert wsc(xi0, xi2, 1.0) == (1 if expected >= 0 else -1)
 
-    @given(finite, finite, st.floats(min_value=0.01, max_value=10),
-           st.floats(min_value=1e-3, max_value=1e3))
-    def test_scale_invariance(self, xi0, xi2, beta, c):
-        _, bit = combine_wsc(xi0, xi2, beta)
-        _, bit_scaled = combine_wsc(c * xi0, c * xi2, beta)
-        assert bit == bit_scaled
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=16),
+           st.floats(min_value=0.0, max_value=10), st.integers(min_value=0, max_value=8))
+    def test_scale_invariance(self, pairs, beta, k):
+        # Scaling up by a power of two is exact, even for subnormals, so ties stay ties.
+        xi0, xi2 = np.array(pairs).T
+        c = 2.0 ** k
+        assert np.array_equal(wsc_bits(xi0, xi2, beta), wsc_bits(c * xi0, c * xi2, beta))
 
 
 class TestAdaptiveWeight:
@@ -66,10 +67,6 @@ class TestAdaptiveWeight:
         with pytest.raises(ValueError):
             beta_wsc2(-1.0, 4.0)
 
-    def test_matches_lar_factor_pointwise(self):
-        for g1 in np.linspace(0, 10, 50):
-            assert beta_wsc2(g1, 4.0) == lar_power_factor(g1, 4.0)
-
     def test_monotone_and_bounded(self):
         vals = [beta_wsc2(g, 3.0) for g in np.linspace(0, 12, 200)]
         assert all(0 <= v <= 1 for v in vals)
@@ -78,37 +75,45 @@ class TestAdaptiveWeight:
 
 class TestLar:
     def test_power_factor_values(self):
-        assert lar_power_factor(2.0, 4.0) == 0.5
-        assert lar_power_factor(7.0, 4.0) == 1.0
-        assert lar_power_factor(0.0, 4.0) == 0.0
+        # The relay power factor is beta_wsc2 of the relay SNR the
+        # destination sees, and 0 on a dead relay link.
+        for mode in ("exact", "estimated"):
+            params = SystemParams(p0_over_n0_db=10.0, snr_mode=mode)
+            obs = simulate_block(params, derive_stream(5, 2))
+            gamma1 = obs.gamma1_exact if mode == "exact" else obs.gamma1_est
+            assert obs.beta_adaptive == beta_wsc2(gamma1, params.gamma_bars[2])
+            assert SCHEMES[SchemeId.WSC2].weight(0.3, obs.beta_adaptive) == obs.beta_adaptive
+        dead = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 1.0, 0.0))
+        assert simulate_block(dead, derive_stream(5, 2)).beta_adaptive == 0.0
 
     def test_combine(self):
-        assert combine_lar(1.0, -0.5) == 1
-        assert combine_lar(0.2, -0.5) == -1
+        assert lar_bits(np.array([1.0, 0.2, -0.5]), np.array([-0.5, -0.5, 0.5])).tolist() == [1, -1, 1]
 
 
 class TestVectorized:
-    def test_wsc_bits_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        xi0 = rng.normal(size=200)
-        xi2 = rng.normal(size=200)
-        for beta in (0.3, 1.0, 2.0):
-            vec = wsc_bits(xi0, xi2, beta)
-            scalar = [combine_wsc(a, b, beta)[1] for a, b in zip(xi0, xi2)]
-            assert vec.tolist() == scalar
-
     def test_wsc_bits_zero_beta_is_direct_only(self):
         rng = np.random.default_rng(3)
         xi0 = rng.normal(size=100)
         xi2 = rng.normal(size=100)
         assert np.array_equal(wsc_bits(xi0, xi2, 0.0), np.where(xi0 >= 0, 1, -1))
 
-    def test_lar_bits_matches_scalar(self):
-        rng = np.random.default_rng(4)
-        xi0 = rng.normal(size=100)
-        xiL = rng.normal(size=100)
-        vec = lar_bits(xi0, xiL)
-        assert vec.tolist() == [combine_lar(a, b) for a, b in zip(xi0, xiL)]
+
+class TestSchemeTable:
+    def test_beta_column(self):
+        assert [SCHEMES[s].beta_column(0.4) for s in SchemeId] == [1.0, 0.4, None, None]
+
+    def test_closed_forms(self):
+        ctx = ClosedFormContext.from_db(10.0)
+        assert SCHEMES[SchemeId.SC].closed_form(0.4, ctx) == aber_wsc1(1.0, ctx)
+        assert SCHEMES[SchemeId.WSC1].closed_form(0.4, ctx) == aber_wsc1(0.4, ctx)
+        assert SCHEMES[SchemeId.WSC2].closed_form(0.4, ctx) == aber_wsc2(ctx)
+        assert SCHEMES[SchemeId.LAR].closed_form(0.4, ctx) is None
+
+    def test_degenerate_closed_form_is_none(self):
+        ctx = ClosedFormContext(10.0, 0.0, 10.0)
+        assert SCHEMES[SchemeId.WSC2].closed_form(1.0, ctx) is None
+        with pytest.raises(ValueError, match="gamma_bar_1 must be positive"):
+            SCHEMES[SchemeId.WSC2].aber(1.0, ctx)
 
 
 def test_lar_worse_than_wsc2_high_snr():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddfwsc import simulator
 from ddfwsc.analysis import ClosedFormContext, aber_wsc1, optimize_beta
 from ddfwsc.combiners import SchemeId
 from ddfwsc.link import SystemParams
@@ -85,6 +86,7 @@ class TestRunSimulation:
     def test_config_validation(self):
         params = SystemParams(p0_over_n0_db=0.0)
         for kwargs in (dict(max_blocks=0), dict(min_errors=-1), dict(beta_wsc1=0.0),
+                       dict(beta_wsc1=float("nan")), dict(beta_wsc1=float("inf")),
                        dict(workers=0), dict(schemes=())):
             with pytest.raises(ValueError):
                 SimConfig(params=params, **kwargs)
@@ -99,6 +101,32 @@ class TestSweep:
             sweep(cfg, "snr_db", [10.0, 5.0])
         with pytest.raises(ValueError):
             sweep(cfg, "power", [1.0, 2.0])
+
+    def test_invalid_point_rejected_before_any_simulation(self, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("simulated before validating every point")
+
+        monkeypatch.setattr(simulator, "run_simulation", fail)
+        cfg = SimConfig(params=SystemParams(p0_over_n0_db=10.0), max_blocks=10)
+        for values in ([0.5, float("nan")], [0.5, float("inf")], [-1.0, 0.5]):
+            with pytest.raises(ValueError):
+                sweep(cfg, "beta", values)
+        with pytest.raises(ValueError):
+            sweep(cfg, "snr_db", [0.0, float("inf")])
+        with pytest.raises(ValueError):
+            sweep(cfg, "beta", [0.5], optimize_wsc1=True)
+
+    def test_records_carry_wsc1_weight(self):
+        params = SystemParams(p0_over_n0_db=0.0, block_len=16)
+        cfg = SimConfig(params=params, schemes=(SchemeId.WSC1,), beta_wsc1=0.7,
+                        max_blocks=20, min_errors=0, seed=5)
+        fixed = sweep(cfg, "snr_db", [5.0, 10.0])
+        assert [r.beta_wsc1 for r in fixed] == [0.7, 0.7]
+        for rec in sweep(cfg, "snr_db", [5.0, 10.0], optimize_wsc1=True):
+            ctx = ClosedFormContext.from_db(rec.axis_value)
+            assert rec.beta_wsc1 == optimize_beta(ctx)[0]
+            assert rec.analytic[SchemeId.WSC1] == aber_wsc1(rec.beta_wsc1, ctx)
+        assert [r.beta_wsc1 for r in sweep(cfg, "beta", [0.3, 0.6])] == [0.3, 0.6]
 
     def test_snr_sweep_wsc2_never_worse_than_sc(self):
         params = SystemParams(p0_over_n0_db=0.0, block_len=128)
