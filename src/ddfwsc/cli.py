@@ -148,6 +148,8 @@ def _estimate_record(snr_db, scheme, beta_wsc1, est, analytic, asym=None) -> dic
 
 def cmd_analyze(args) -> list[dict]:
     scheme = SchemeId(args.scheme)
+    if args.beta is not None and scheme is not SchemeId.WSC1:
+        raise ValueError(f"--beta applies to --scheme wsc1 only, not {scheme.value}")
     records = []
     for snr_db in parse_range(args.snr_db):
         ctx = ClosedFormContext.from_db(snr_db, _sigma(args))

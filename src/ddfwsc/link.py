@@ -7,6 +7,7 @@ reference symbol s(0) = 1 plus L data symbols.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ __all__ = [
     "SystemParams",
     "BlockObservables",
     "diff_encode",
-    "decision_variable",
+    "decision_variables",
     "relay_detect",
     "estimate_relay_snr",
     "simulate_block",
@@ -37,8 +38,10 @@ class SystemParams:
     def __post_init__(self):
         if self.block_len < 1:
             raise ValueError("block_len must be >= 1")
-        if any(s < 0 for s in self.sigma_sq):
-            raise ValueError("channel variances must be >= 0")
+        if not math.isfinite(self.p0_over_n0_db):
+            raise ValueError(f"p0_over_n0_db must be finite, got {self.p0_over_n0_db}")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_sq):
+            raise ValueError(f"channel variances must be finite and >= 0, got {self.sigma_sq}")
         if self.snr_mode not in ("exact", "estimated"):
             raise ValueError(f"snr_mode must be 'exact' or 'estimated', got {self.snr_mode!r}")
 
@@ -82,9 +85,9 @@ def diff_encode(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def decision_variable(y_k: complex, y_km1: complex) -> float:
-    """Re{y(k) y*(k-1)}: the differential detection statistic."""
-    return (y_k * np.conj(y_km1)).real
+def decision_variables(y: np.ndarray) -> np.ndarray:
+    """Re{y(k) y*(k-1)} for k = 1..L: the differential detection statistics."""
+    return (y[1:] * np.conj(y[:-1])).real
 
 
 def relay_detect(y1: np.ndarray) -> np.ndarray:
@@ -92,7 +95,7 @@ def relay_detect(y1: np.ndarray) -> np.ndarray:
     y1 = np.asarray(y1)
     if y1.size < 2:
         raise ValueError("need at least 2 received symbols")
-    return _sign((y1[1:] * np.conj(y1[:-1])).real)
+    return _sign(decision_variables(y1))
 
 
 def estimate_relay_snr(y1: np.ndarray, block_len: int) -> float:
@@ -143,14 +146,10 @@ def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObser
     beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else 0.0
     yL = np.sqrt(beta_adaptive) * sqrt_p0 * h2 * s_hat + n2
 
-    xi0 = (y0[1:] * np.conj(y0[:-1])).real
-    xi2 = (y2[1:] * np.conj(y2[:-1])).real
-    xiL = (yL[1:] * np.conj(yL[:-1])).real
-
     return BlockObservables(
-        xi0=xi0,
-        xi2=xi2,
-        xiL=xiL,
+        xi0=decision_variables(y0),
+        xi2=decision_variables(y2),
+        xiL=decision_variables(yL),
         gamma1_exact=gamma1_exact,
         gamma1_est=gamma1_est,
         beta_adaptive=beta_adaptive,

@@ -2,13 +2,17 @@
 
 Every block is generated from its own (seed, block_index) stream, so
 results are bit-exact for a fixed configuration regardless of how many
-workers are used; workers only split the block range.
+workers are used.  Blocks are simulated in rounds of _CHUNK blocks per
+worker; workers only split each round, and early stopping is applied at
+block granularity, so the stop point is the same for every round size
+and worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +25,7 @@ from .link import SystemParams, simulate_block
 
 __all__ = ["SimConfig", "BerEstimate", "SweepRecord", "run_simulation", "sweep", "wilson_interval"]
 
-_CHUNK = 512
+_CHUNK = 64
 _SWEEP_SEED_STRIDE = 10 ** 9
 
 
@@ -78,72 +82,50 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _block_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int, block_index: int) -> np.ndarray:
-    obs = simulate_block(params, derive_stream(seed, block_index))
-    out = np.empty(len(schemes), dtype=np.int64)
-    for j, scheme in enumerate(schemes):
-        weight = SCHEMES[scheme].weight
-        if weight is None:
-            bits = lar_bits(obs.xi0, obs.xiL)
-        else:
-            bits = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive))
-        out[j] = int(np.count_nonzero(bits != obs.tx_bits))
-    return out
-
-
 def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
                   start: int, count: int) -> np.ndarray:
     """Per-block error counts for blocks [start, start+count), shape (count, n_schemes)."""
     out = np.empty((count, len(schemes)), dtype=np.int64)
     for i in range(count):
-        out[i] = _block_errors(params, schemes, beta_wsc1, seed, start + i)
+        obs = simulate_block(params, derive_stream(seed, start + i))
+        for j, scheme in enumerate(schemes):
+            weight = SCHEMES[scheme].weight
+            if weight is None:
+                bits = lar_bits(obs.xi0, obs.xiL)
+            else:
+                bits = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive))
+            out[i, j] = np.count_nonzero(bits != obs.tx_bits)
     return out
 
 
 def run_simulation(cfg: SimConfig) -> list[BerEstimate]:
     """Simulate until every scheme has min_errors errors or max_blocks is hit.
 
-    All schemes are evaluated on the same block realizations.  Early
-    stopping is applied at block granularity on the deterministic
-    block-index ordering, so the result never depends on chunking or
-    worker count.
+    All schemes are evaluated on the same block realizations.  Blocks run
+    in rounds of _CHUNK blocks per worker, and the run stops at the first
+    block whose cumulative counts meet min_errors for every scheme, so the
+    stop point depends on neither the round size nor the worker count.
     """
     schemes = tuple(cfg.schemes)
-    L = cfg.params.block_len
+    args = (cfg.params, schemes, cfg.beta_wsc1, cfg.seed)
+    target = cfg.min_errors or math.inf  # min_errors = 0 runs to max_blocks
+    step = _CHUNK * cfg.workers
     totals = np.zeros(len(schemes), dtype=np.int64)
-    per_block: list[np.ndarray] = []
-    blocks_used = 0
-
-    executor = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        start = 0
-        while start < cfg.max_blocks:
-            n = min(_CHUNK * cfg.workers, cfg.max_blocks - start)
-            if executor is None:
-                chunk = _chunk_errors(cfg.params, schemes, cfg.beta_wsc1, cfg.seed, start, n)
-            else:
-                bounds = np.linspace(0, n, cfg.workers + 1, dtype=int)
-                futures = [
-                    executor.submit(_chunk_errors, cfg.params, schemes, cfg.beta_wsc1,
-                                    cfg.seed, start + int(a), int(b - a))
-                    for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-                ]
-                chunk = np.concatenate([f.result() for f in futures], axis=0)
-            cum = totals + np.cumsum(chunk, axis=0)
-            done = np.all(cum >= cfg.min_errors, axis=1)
-            if cfg.min_errors > 0 and done.any():
-                stop_at = int(np.argmax(done)) + 1
-                totals = cum[stop_at - 1]
-                blocks_used = start + stop_at
+    with (ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
+        for start in range(0, cfg.max_blocks, step):
+            stop = min(start + step, cfg.max_blocks)
+            errors = (_chunk_errors(*args, start, stop - start) if pool is None else
+                      np.concatenate([f.result() for f in [
+                          pool.submit(_chunk_errors, *args, s, min(_CHUNK, stop - s))
+                          for s in range(start, stop, _CHUNK)]]))
+            cum = totals + np.cumsum(errors, axis=0)
+            met = np.flatnonzero(np.all(cum >= target, axis=1))
+            used = int(met[0]) + 1 if met.size else stop - start
+            totals, blocks_used = cum[used - 1], start + used
+            if met.size:
                 break
-            totals = cum[-1]
-            start += n
-            blocks_used = start
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
-    bits = blocks_used * L
+    bits = blocks_used * cfg.params.block_len
     results = []
     for j, scheme in enumerate(schemes):
         errs = int(totals[j])

@@ -67,6 +67,13 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "gamma_bar_1 must be positive" in proc.stderr
 
+    @pytest.mark.parametrize("scheme", ["sc", "wsc2"])
+    def test_beta_without_wsc1_usage_error(self, scheme):
+        proc = run_cli(["analyze", "--scheme", scheme, "--snr-db", "10", "--beta", "0.3"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--beta applies to --scheme wsc1 only" in proc.stderr
+
     def test_missing_flags_usage_error(self):
         proc = run_cli(["analyze", "--scheme", "wsc1"])
         assert proc.returncode == 2

@@ -5,7 +5,7 @@ from ddfwsc.analysis import ClosedFormContext, cdf_xi0
 from ddfwsc.fading import derive_stream
 from ddfwsc.link import (
     SystemParams,
-    decision_variable,
+    decision_variables,
     diff_encode,
     estimate_relay_snr,
     relay_detect,
@@ -34,15 +34,12 @@ class TestDiffEncode:
             diff_encode(np.array([]))
 
 
-class TestDecisionVariable:
-    def test_aligned(self):
-        assert decision_variable(1 + 0j, 1 + 0j) == 1.0
-
-    def test_orthogonal(self):
-        assert decision_variable(1j, 1 + 0j) == 0.0
-
-    def test_arithmetic(self):
-        assert decision_variable(2 + 1j, 1 - 1j) == pytest.approx(1.0)
+class TestDecisionVariables:
+    def test_aligned_orthogonal_arithmetic(self):
+        # Consecutive pairs: aligned (1, 1), orthogonal (1j after 1), then
+        # (1-1j after 1j) and the arithmetic case (2+1j after 1-1j).
+        y = np.array([1 + 0j, 1 + 0j, 1j, 1 - 1j, 2 + 1j])
+        assert decision_variables(y).tolist() == [1.0, 0.0, -1.0, 1.0]
 
 
 class TestRelayDetect:
@@ -169,3 +166,12 @@ class TestSimulateBlock:
             SystemParams(p0_over_n0_db=0.0, sigma_sq=(-1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             SystemParams(p0_over_n0_db=0.0, snr_mode="guess")
+        for db in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                SystemParams(p0_over_n0_db=db)
+        for bad in (float("nan"), float("inf")):
+            for i in range(3):
+                sigma_sq = [1.0, 1.0, 1.0]
+                sigma_sq[i] = bad
+                with pytest.raises(ValueError):
+                    SystemParams(p0_over_n0_db=0.0, sigma_sq=tuple(sigma_sq))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,39 @@ class TestRunSimulation:
 
     def test_worker_determinism(self):
         params = SystemParams(p0_over_n0_db=10.0, block_len=32)
-        base = dict(params=params, schemes=(SchemeId.SC, SchemeId.WSC2),
-                    max_blocks=3000, min_errors=150, seed=9)
-        r1 = run_simulation(SimConfig(workers=1, **base))
-        r8 = run_simulation(SimConfig(workers=8, **base))
-        assert [(e.bit_errors, e.bits) for e in r1] == [(e.bit_errors, e.bits) for e in r8]
+        workers = (1, 2, 3, 8)
+        # One run stops mid-round on min_errors; the other runs to a cap that
+        # is not a multiple of any round size.
+        for max_blocks, min_errors in ((3000, 150), (1000, 10 ** 9)):
+            cfg = SimConfig(params=params, schemes=(SchemeId.SC, SchemeId.WSC2),
+                            max_blocks=max_blocks, min_errors=min_errors, seed=9)
+            runs = [run_simulation(replace(cfg, workers=w)) for w in workers]
+            blocks = runs[0][0].bits // 32
+            for w in workers:
+                assert blocks % (simulator._CHUNK * w) != 0
+            if min_errors < 10 ** 9:
+                assert blocks < max_blocks
+                assert all(e.bit_errors >= min_errors for e in runs[0])
+            else:
+                assert blocks == max_blocks
+            for r in runs[1:]:
+                assert [(e.bit_errors, e.bits) for e in r] == [(e.bit_errors, e.bits) for e in runs[0]]
+
+    def test_stop_wastes_less_than_one_round(self, monkeypatch):
+        simulated = []
+        chunk_errors = simulator._chunk_errors
+
+        def counting(params, schemes, beta_wsc1, seed, start, count):
+            simulated.append(count)
+            return chunk_errors(params, schemes, beta_wsc1, seed, start, count)
+
+        monkeypatch.setattr(simulator, "_chunk_errors", counting)
+        params = SystemParams(p0_over_n0_db=10.0, block_len=32)
+        cfg = SimConfig(params=params, schemes=(SchemeId.SC,), max_blocks=100_000,
+                        min_errors=150, seed=9)
+        used = run_simulation(cfg)[0].bits // 32
+        assert used < cfg.max_blocks
+        assert 0 <= sum(simulated) - used < simulator._CHUNK
 
     def test_early_stop_block_granularity(self):
         params = SystemParams(p0_over_n0_db=0.0, block_len=64)
