@@ -34,12 +34,17 @@ class TestDiffEncode:
             diff_encode(np.array([]))
 
 
-class TestDecisionVariables:
-    def test_aligned_orthogonal_arithmetic(self):
-        # Consecutive pairs: aligned (1, 1), orthogonal (1j after 1), then
-        # (1-1j after 1j) and the arithmetic case (2+1j after 1-1j).
-        y = np.array([1 + 0j, 1 + 0j, 1j, 1 - 1j, 2 + 1j])
-        assert decision_variables(y).tolist() == [1.0, 0.0, -1.0, 1.0]
+class TestDecisionVariable:
+    def test_aligned(self):
+        assert decision_variables(np.array([1 + 0j, 1 + 0j])).tolist() == [1.0]
+
+    def test_orthogonal(self):
+        assert decision_variables(np.array([1 + 0j, 1j])).tolist() == [0.0]
+
+    def test_arithmetic(self):
+        # Consecutive pairs: (1-1j after 1j), then (2+1j after 1-1j).
+        y = np.array([1j, 1 - 1j, 2 + 1j])
+        assert decision_variables(y).tolist() == pytest.approx([-1.0, 1.0])
 
 
 class TestRelayDetect:
