@@ -79,28 +79,30 @@ def _sign(x):
     return np.where(np.asarray(x) >= 0, 1, -1)
 
 
-def beta_wsc2(gamma1: float, gamma_bar2: float) -> float:
+def beta_wsc2(gamma1, gamma_bar2: float):
     """Adaptive selection weight from the instantaneous source-relay SNR.
 
     The same factor scales the relay's transmit power under LAR.  gamma1 = 0
     legitimately yields beta = 0, which deterministically selects the
-    direct link.
+    direct link.  gamma1 may be an array of per-block SNRs.
     """
     if gamma_bar2 <= 0:
         raise ValueError(f"gamma_bar2 must be > 0, got {gamma_bar2}")
-    if gamma1 < 0:
-        raise ValueError(f"gamma1 must be >= 0, got {gamma1}")
-    return min(1.0, gamma1 / gamma_bar2)
+    if np.any(np.asarray(gamma1) < 0):
+        raise ValueError(f"gamma1 must be >= 0, got {np.min(gamma1)}")
+    return np.minimum(1.0, gamma1 / gamma_bar2)
 
 
-def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta: float) -> np.ndarray:
-    """Weighted-selection decisions for a whole block; beta = 0 allowed.
+def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta) -> np.ndarray:
+    """Weighted-selection decisions for whole blocks; beta = 0 allowed.
 
-    The relay branch is used only where beta*|xi2| beats |xi0|: ties go to
-    the direct link, which carries no error propagation.
+    beta is one weight, or an (N, 1) array of per-block weights for
+    (N, L) decision variables.  The relay branch is used only where
+    beta*|xi2| beats |xi0|: ties go to the direct link, which carries no
+    error propagation.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if np.any(np.asarray(beta) < 0):
+        raise ValueError(f"beta must be >= 0, got {np.min(beta)}")
     use_direct = np.abs(xi0) >= beta * np.abs(xi2)
     return _sign(np.where(use_direct, xi0, xi2))
 

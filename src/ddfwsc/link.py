@@ -1,4 +1,4 @@
-"""Differential BPSK source-relay-destination pipeline for one fading block.
+"""Differential BPSK source-relay-destination pipeline over fading blocks.
 
 Noise power is normalized to N0 = 1 everywhere; the SNR axis P0/N0 (dB)
 maps to the transmit power P0 = 10**(dB/10).  Each block carries one
@@ -8,12 +8,14 @@ reference symbol s(0) = 1 plus L data symbols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .combiners import _sign, beta_wsc2
-from .fading import sample_fading_block
+from .fading import sample_block
+# Not called here any more; perfbench/tracing.py wraps it under this module's name.
+from .fading import sample_fading_block  # noqa: F401
 
 __all__ = [
     "SystemParams",
@@ -22,6 +24,7 @@ __all__ = [
     "decision_variables",
     "relay_detect",
     "estimate_relay_snr",
+    "simulate_blocks",
     "simulate_block",
 ]
 
@@ -60,58 +63,71 @@ class SystemParams:
 class BlockObservables:
     """Per-block decision variables and relay-side quantities.
 
+    From simulate_block the arrays have length L and the rest are scalars;
+    from simulate_blocks every field gains a leading block axis.
     beta_adaptive is min(1, gamma1/gbar2), with gamma1 as snr_mode delivers
-    it: the LAR relay power factor and the WSC2 weight of this block.
+    it: the LAR relay power factor and the WSC2 weight of the block.
     """
 
     xi0: np.ndarray
     xi2: np.ndarray
     xiL: np.ndarray
-    gamma1_exact: float
-    gamma1_est: float
-    beta_adaptive: float
+    gamma1_exact: float | np.ndarray
+    gamma1_est: float | np.ndarray
+    beta_adaptive: float | np.ndarray
     relay_bits: np.ndarray
     tx_bits: np.ndarray
 
 
 def diff_encode(bits: np.ndarray) -> np.ndarray:
-    """Differentially encode +/-1 bits; output has the s(0)=1 reference prepended."""
+    """Differentially encode +/-1 bits along the last axis; the s(0)=1 reference is prepended."""
     bits = np.asarray(bits)
     if bits.size == 0:
         raise ValueError("bits must be nonempty")
-    out = np.empty(bits.size + 1, dtype=bits.dtype)
-    out[0] = 1
-    np.cumprod(bits, out=out[1:])
+    out = np.empty(bits.shape[:-1] + (bits.shape[-1] + 1,), dtype=bits.dtype)
+    out[..., 0] = 1
+    np.cumprod(bits, axis=-1, out=out[..., 1:])
     return out
 
 
 def decision_variables(y: np.ndarray) -> np.ndarray:
-    """Re{y(k) y*(k-1)} for k = 1..L: the differential detection statistics."""
-    return (y[1:] * np.conj(y[:-1])).real
+    """Re{y(k) y*(k-1)} for k = 1..L along the last axis: the differential detection statistics."""
+    return (y[..., 1:] * np.conj(y[..., :-1])).real
 
 
 def relay_detect(y1: np.ndarray) -> np.ndarray:
-    """Hard differential decisions at the relay from L+1 received symbols."""
+    """Hard differential decisions at the relay from L+1 received symbols (last axis)."""
     y1 = np.asarray(y1)
-    if y1.size < 2:
+    if y1.ndim == 0 or y1.shape[-1] < 2:
         raise ValueError("need at least 2 received symbols")
     return _sign(decision_variables(y1))
 
 
-def estimate_relay_snr(y1: np.ndarray, block_len: int) -> float:
+def estimate_relay_snr(y1: np.ndarray, block_len: int):
     """Moment estimate of the relay SNR from received energy, clamped at 0.
 
-    Divides by the L+1 symbols actually observed (reference included).
+    Divides by the L+1 symbols actually observed (reference included).  A
+    2-D y1 holds one block per row and gives one estimate per row; each
+    row's energy is its own np.vdot, so every estimate is bit for bit the
+    one-block value.
     """
     y1 = np.asarray(y1)
     if block_len < 1:
         raise ValueError("block_len must be >= 1")
-    est = np.vdot(y1, y1).real / (block_len + 1) - 1.0
-    return max(0.0, est)
+    energy = (np.array([np.vdot(row, row).real for row in y1]) if y1.ndim == 2
+              else np.vdot(y1, y1).real)
+    return np.maximum(0.0, energy / (block_len + 1) - 1.0)
 
 
-def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObservables:
-    """Run one fading block end to end and return all decision variables.
+def simulate_blocks(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray,
+                    noise_normals: np.ndarray) -> BlockObservables:
+    """Run a batch of fading blocks end to end from their draws.
+
+    h (N, 3) holds the S-D, S-R and R-D gains, bit_uniforms (N, L) the
+    uniforms that make the data bits, noise_normals (N, 3, L+1, 2) the
+    unit normals of the three noise vectors (see ``fading`` for the order
+    they are drawn in).  Every field of the result has the batch as its
+    first axis.
 
     The LAR observables reuse the same h2 and n2 realizations with the
     relay transmit power scaled by the link-adaptive factor, so scheme
@@ -120,31 +136,34 @@ def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObser
     L = params.block_len
     p0 = params.p0
     sqrt_p0 = np.sqrt(p0)
+    h0, h1, h2 = h.T
 
-    h0, h1, h2 = sample_fading_block(rng, params.sigma_sq)
-    tx_bits = _sign(rng.random(L) - 0.5)
+    tx_bits = _sign(bit_uniforms - 0.5)
     s = diff_encode(tx_bits)
 
-    # One batched draw for all three unit-variance noise vectors.
-    n = rng.standard_normal((3, L + 1, 2)) * np.sqrt(0.5)
-    n0, n1, n2 = n[..., 0] + 1j * n[..., 1]
+    n = noise_normals * np.sqrt(0.5)
+    noise = n[..., 0] + 1j * n[..., 1]
+    n0, n1, n2 = noise[:, 0], noise[:, 1], noise[:, 2]
 
-    y0 = sqrt_p0 * h0 * s + n0
-    y1 = sqrt_p0 * h1 * s + n1
+    y0 = (sqrt_p0 * h0)[:, None] * s + n0
+    y1 = (sqrt_p0 * h1)[:, None] * s + n1
 
     relay_bits = relay_detect(y1)
     s_hat = diff_encode(relay_bits)
 
-    y2 = sqrt_p0 * h2 * s_hat + n2
+    y2 = (sqrt_p0 * h2)[:, None] * s_hat + n2
 
-    gamma1_exact = p0 * abs(h1) ** 2
+    # Python's abs and ** (libm hypot and pow), as the one-block path always
+    # computed them: numpy's complex abs differs from hypot in the last bit
+    # for about a third of normal draws, and x*x from pow(x, 2) for about 1 in 1000.
+    gamma1_exact = np.array([p0 * abs(g) ** 2 for g in h1.tolist()])
     gamma1_est = estimate_relay_snr(y1, L)
     gamma1 = gamma1_exact if params.snr_mode == "exact" else gamma1_est
 
     gbar2 = p0 * params.sigma_sq[2]
     # A dead relay link (gbar2 = 0) degenerates to direct-only decisions.
-    beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else 0.0
-    yL = np.sqrt(beta_adaptive) * sqrt_p0 * h2 * s_hat + n2
+    beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else np.zeros(len(h))
+    yL = (np.sqrt(beta_adaptive) * sqrt_p0 * h2)[:, None] * s_hat + n2
 
     return BlockObservables(
         xi0=decision_variables(y0),
@@ -156,3 +175,9 @@ def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObser
         relay_bits=relay_bits,
         tx_bits=tx_bits,
     )
+
+
+def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObservables:
+    """Run one fading block, drawn from rng where it stands: simulate_blocks with N = 1."""
+    batch = simulate_blocks(params, *sample_block(rng, params.sigma_sq, params.block_len))
+    return BlockObservables(**{f.name: getattr(batch, f.name)[0] for f in fields(batch)})

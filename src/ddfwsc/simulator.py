@@ -1,17 +1,22 @@
 """Monte Carlo harness: paired per-block scheme evaluation with early stopping.
 
-Every block is generated from its own (seed, block_index) stream, so
-results are bit-exact for a fixed configuration regardless of how many
-workers are used.  Blocks are simulated in rounds of _CHUNK blocks per
-worker; workers only split each round, and early stopping is applied at
-block granularity, so the stop point is the same for every round size
-and worker count.
+Every block is generated from its own (seed, block_index) stream (see
+``fading``), so results are bit-exact for a fixed configuration
+regardless of how many workers are used.  The kernel, ``_chunk_errors``,
+works on a chunk of _CHUNK consecutive blocks at once: it hashes the
+chunk's Philox keys in numpy, draws each block from one reused generator
+reset to that block's key, runs the link for the whole chunk with
+``simulate_blocks`` and calls each scheme's combiner once, with a
+per-block weight array for WSC2.  Blocks are simulated in rounds of
+_CHUNK blocks per worker; workers only split each round, and early
+stopping is applied at block granularity, so the stop point is the same
+for every round size and worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -20,8 +25,11 @@ import numpy as np
 from . import analysis
 from .analysis import ClosedFormContext
 from .combiners import SCHEMES, SchemeId, lar_bits, wsc_bits
-from .fading import derive_stream
-from .link import SystemParams, simulate_block
+from .fading import sample_blocks
+from .link import SystemParams, simulate_blocks
+# Not called here any more; perfbench/tracing.py wraps them under this module's names.
+from .fading import derive_stream  # noqa: F401
+from .link import simulate_block  # noqa: F401
 
 __all__ = ["SimConfig", "BerEstimate", "SweepRecord", "run_simulation", "sweep", "wilson_interval"]
 
@@ -85,33 +93,36 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[
 def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
                   start: int, count: int) -> np.ndarray:
     """Per-block error counts for blocks [start, start+count), shape (count, n_schemes)."""
+    obs = simulate_blocks(params, *sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
+                                                 params.sigma_sq, params.block_len))
     out = np.empty((count, len(schemes)), dtype=np.int64)
-    for i in range(count):
-        obs = simulate_block(params, derive_stream(seed, start + i))
-        for j, scheme in enumerate(schemes):
-            weight = SCHEMES[scheme].weight
-            if weight is None:
-                bits = lar_bits(obs.xi0, obs.xiL)
-            else:
-                bits = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive))
-            out[i, j] = np.count_nonzero(bits != obs.tx_bits)
+    for j, scheme in enumerate(schemes):
+        weight = SCHEMES[scheme].weight
+        if weight is None:
+            bits = lar_bits(obs.xi0, obs.xiL)
+        else:
+            bits = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive[:, None]))
+        out[:, j] = np.count_nonzero(bits != obs.tx_bits, axis=1)
     return out
 
 
-def run_simulation(cfg: SimConfig) -> list[BerEstimate]:
+def run_simulation(cfg: SimConfig, pool: Executor | None = None) -> list[BerEstimate]:
     """Simulate until every scheme has min_errors errors or max_blocks is hit.
 
     All schemes are evaluated on the same block realizations.  Blocks run
     in rounds of _CHUNK blocks per worker, and the run stops at the first
     block whose cumulative counts meet min_errors for every scheme, so the
     stop point depends on neither the round size nor the worker count.
+    Chunks run on ``pool`` when one is given; otherwise a run with
+    workers > 1 opens its own process pool for the run.
     """
     schemes = tuple(cfg.schemes)
     args = (cfg.params, schemes, cfg.beta_wsc1, cfg.seed)
     target = cfg.min_errors or math.inf  # min_errors = 0 runs to max_blocks
     step = _CHUNK * cfg.workers
     totals = np.zeros(len(schemes), dtype=np.int64)
-    with (ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
+    own_pool = pool is None and cfg.workers > 1
+    with ProcessPoolExecutor(cfg.workers) if own_pool else nullcontext(pool) as pool:
         for start in range(0, cfg.max_blocks, step):
             stop = min(start + step, cfg.max_blocks)
             errors = (_chunk_errors(*args, start, stop - start) if pool is None else
@@ -141,7 +152,8 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
     Seeds are offset per axis index so points are independent yet each
     point stays individually reproducible.  With optimize_wsc1 on the
     snr_db axis, WSC1 uses each point's optimize_beta weight instead of
-    cfg.beta_wsc1.  Every point is validated before any is simulated.
+    cfg.beta_wsc1.  Every point is validated before any is simulated, and
+    with workers > 1 the whole sweep shares one process pool.
     """
     values = list(values)
     if not values:
@@ -160,16 +172,17 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
 
     records = []
     symmetric = len(set(cfg.params.sigma_sq)) == 1 and cfg.params.sigma_sq[0] == 1.0
-    for idx, (value, point, ctx) in enumerate(zip(values, points, contexts)):
-        if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
-            point = replace(point, beta_wsc1=analysis.optimize_beta(ctx)[0])
-        point = replace(point, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
-        estimates = tuple(run_simulation(point))
-        analytic = {s: ber for s in cfg.schemes
-                    if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
-        asym = None
-        if symmetric and SchemeId.WSC2 in cfg.schemes:
-            asym = analysis.aber_asymptotic_wsc2(point.params.p0)
-        records.append(SweepRecord(axis_value=value, estimates=estimates, analytic=analytic,
-                                   beta_wsc1=point.beta_wsc1, asymptotic=asym))
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        for idx, (value, point, ctx) in enumerate(zip(values, points, contexts)):
+            if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
+                point = replace(point, beta_wsc1=analysis.optimize_beta(ctx)[0])
+            point = replace(point, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
+            estimates = tuple(run_simulation(point, pool=pool))
+            analytic = {s: ber for s in cfg.schemes
+                        if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
+            asym = None
+            if symmetric and SchemeId.WSC2 in cfg.schemes:
+                asym = analysis.aber_asymptotic_wsc2(point.params.p0)
+            records.append(SweepRecord(axis_value=value, estimates=estimates, analytic=analytic,
+                                       beta_wsc1=point.beta_wsc1, asymptotic=asym))
     return records

@@ -20,8 +20,8 @@ from ddfwsc.analysis import (
     optimize_beta,
 )
 from ddfwsc.combiners import SchemeId, wsc_bits
-from ddfwsc.fading import derive_stream
-from ddfwsc.link import SystemParams, simulate_block
+from ddfwsc.fading import sample_blocks
+from ddfwsc.link import SystemParams, simulate_blocks
 from ddfwsc.simulator import SimConfig, run_simulation
 from ddfwsc.validation import aber_wsc1_by_integration, aber_wsc2_by_integration
 
@@ -110,10 +110,12 @@ def test_criterion_5_weight_factor_behavior():
     step = np.log(grid[1] / grid[0])
     params = SystemParams(p0_over_n0_db=db, block_len=256)
     errs = np.zeros(len(grid), dtype=np.int64)
-    for blk in range(30_000):
-        obs = simulate_block(params, derive_stream(1, blk))
+    chunk = 1000  # blocks 0..29999 of seed 1, simulated a chunk at a time
+    for start in range(0, 30_000, chunk):
+        obs = simulate_blocks(params, *sample_blocks(1, np.arange(start, start + chunk),
+                                                     params.sigma_sq, params.block_len))
         for j, b in enumerate(grid):
-            errs[j] += int(np.count_nonzero(wsc_bits(obs.xi0, obs.xi2, float(b)) != obs.tx_bits))
+            errs[j] += np.count_nonzero(wsc_bits(obs.xi0, obs.xi2, float(b)) != obs.tx_bits)
     sim_min = grid[int(np.argmin(errs))]
     within = abs(np.log(sim_min / beta_opt)) <= step * 1.0001
     ok = mono and within and errs.min() >= 300

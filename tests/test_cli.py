@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ddfwsc import analysis
 from ddfwsc.cli import main, parse_range
 from ddfwsc.validation import run_checks
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, **kwargs):
@@ -111,6 +115,15 @@ class TestSimulate:
         second = capsys.readouterr().out
         assert rc == rc2 == 0
         assert first == second
+
+
+    def test_matches_golden_output(self, capsys):
+        # Acceptance criterion 9's command; the file pins its stdout byte for
+        # byte, and CI diffs the installed command against it too.
+        rc = main(["simulate", "--schemes", "sc,wsc1,wsc2,lar", "--snr-db", "10", "--blocks", "300",
+                   "--block-len", "64", "--min-errors", "0", "--seed", "99"])
+        assert rc == 0
+        assert capsys.readouterr().out == (GOLDEN / "simulate_c9.csv").read_text()
 
 
 class TestSweepCommands:

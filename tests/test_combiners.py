@@ -35,6 +35,15 @@ class TestCombineWsc:
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             wsc_bits(np.ones(3), np.ones(3), -0.5)
+        with pytest.raises(ValueError):
+            wsc_bits(np.ones((2, 3)), np.ones((2, 3)), np.array([[0.5], [-0.5]]))
+
+    def test_per_block_beta_array(self):
+        rng = np.random.default_rng(4)
+        xi0, xi2 = rng.normal(size=(2, 6, 5))
+        beta = np.array([0.0, 0.3, 1.0, 2.5, 0.3, 1e-9])
+        rows = [wsc_bits(xi0[i], xi2[i], float(b)) for i, b in enumerate(beta)]
+        assert np.array_equal(wsc_bits(xi0, xi2, beta[:, None]), rows)
 
     @given(finite, finite)
     def test_sc_equals_wsc_at_unit_weight(self, xi0, xi2):
@@ -66,11 +75,15 @@ class TestAdaptiveWeight:
             beta_wsc2(1.0, 0.0)
         with pytest.raises(ValueError):
             beta_wsc2(-1.0, 4.0)
+        with pytest.raises(ValueError):
+            beta_wsc2(np.array([1.0, -1.0]), 4.0)
 
     def test_monotone_and_bounded(self):
-        vals = [beta_wsc2(g, 3.0) for g in np.linspace(0, 12, 200)]
+        gammas = np.linspace(0, 12, 200)
+        vals = [beta_wsc2(g, 3.0) for g in gammas]
         assert all(0 <= v <= 1 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert np.array_equal(beta_wsc2(gammas, 3.0), vals)
 
 
 class TestLar:

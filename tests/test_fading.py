@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ddfwsc.fading import derive_stream, sample_complex_gaussian, sample_fading_block
+from ddfwsc.fading import (
+    derive_stream,
+    sample_blocks,
+    sample_complex_gaussian,
+    sample_fading_block,
+    stream_keys,
+)
 
 
 def test_same_stream_reproduces():
@@ -24,6 +30,31 @@ def test_stream_order_independence():
     direct = derive_stream(1, 5).random(10)
     fresh = derive_stream(1, 5).random(10)
     assert np.array_equal(direct, fresh)
+
+
+def test_stream_keys_match_seed_sequence():
+    # Seeds and ids on both sides of the 32-bit word boundaries; the last two
+    # seeds take 3 and 4 words, so with a 2-word id the entropy overflows the
+    # 4-word pool and the keys come from SeedSequence itself.
+    ids = [0, 63, 2 ** 32 - 1, 2 ** 32]
+    for seed in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 31 - 1 + 10 * 10 ** 9, 2 ** 64 + 5, 2 ** 96 + 1):
+        expected = [np.random.SeedSequence((seed, i)).generate_state(2, np.uint64) for i in ids]
+        assert np.array_equal(stream_keys(seed, ids), expected)
+    with pytest.raises(ValueError):
+        stream_keys(-1, ids)
+
+
+def test_sample_blocks_follow_derive_stream():
+    # Each block's draws are those of its own derive_stream generator, in
+    # contract order: 2 normals per live link, random(L), the noise normals.
+    sigma_sq, L = (2.0, 0.0, 0.5), 3
+    h, bits, noise = sample_blocks(4, [7, 8], sigma_sq, L)
+    for row, b in enumerate((7, 8)):
+        rng = derive_stream(4, b)
+        h0, h1, h2 = sample_fading_block(rng, sigma_sq)
+        assert h[row].tolist() == [h0, h1, h2]
+        assert np.array_equal(bits[row], rng.random(L))
+        assert np.array_equal(noise[row], rng.standard_normal((3, L + 1, 2)))
 
 
 def test_zero_variance_degenerates():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddfwsc.analysis import ClosedFormContext, cdf_xi0
-from ddfwsc.fading import derive_stream
+from ddfwsc.fading import derive_stream, sample_blocks
 from ddfwsc.link import (
     SystemParams,
     decision_variables,
@@ -10,6 +10,7 @@ from ddfwsc.link import (
     estimate_relay_snr,
     relay_detect,
     simulate_block,
+    simulate_blocks,
 )
 
 
@@ -17,6 +18,8 @@ class TestDiffEncode:
     def test_direct_recursion(self):
         out = diff_encode(np.array([1, -1, -1]))
         assert out.tolist() == [1, 1, -1, 1]
+        # One block per row.
+        assert diff_encode(np.array([[1, -1, -1], [-1, 1, -1]])).tolist() == [[1, 1, -1, 1], [1, -1, -1, 1]]
 
     def test_all_ones_identity(self):
         out = diff_encode(np.ones(5, dtype=int))
@@ -81,6 +84,9 @@ class TestEstimateRelaySnr:
         # the noise-floor subtraction biases the clean-signal case.
         y = np.sqrt(3.0) * np.ones(257, dtype=complex)
         assert estimate_relay_snr(y, 256) == pytest.approx(2.0)
+        # One estimate per row, each the one-block value.
+        rows = np.stack([y, np.zeros(257, dtype=complex)])
+        assert estimate_relay_snr(rows, 256).tolist() == [estimate_relay_snr(y, 256), 0.0]
 
     def test_unbiased_mean(self):
         rng = np.random.default_rng(5)
@@ -146,11 +152,10 @@ class TestSimulateBlock:
         # Short blocks: the sup-distance noise floor scales with the number
         # of independent fading draws, not the number of bits.
         params = SystemParams(p0_over_n0_db=10 * np.log10(5.0), block_len=4)
-        samples = []
-        for b in range(40_000):
-            obs = simulate_block(params, derive_stream(42, b))
-            samples.append(obs.xi0 * obs.tx_bits)
-        x = np.sort(np.concatenate(samples))
+        # Blocks 0..39999 of seed 42, the same blocks simulate_block would
+        # give one by one, drawn and simulated all at once.
+        obs = simulate_blocks(params, *sample_blocks(42, np.arange(40_000), params.sigma_sq, 4))
+        x = np.sort((obs.xi0 * obs.tx_bits).ravel())
         ctx = ClosedFormContext(5.0, 5.0, 5.0)
         emp = np.arange(1, x.size + 1) / x.size
         sup = np.max(np.abs(emp - cdf_xi0(x, ctx)))

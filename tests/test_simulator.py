@@ -9,6 +9,94 @@ from ddfwsc.combiners import SchemeId
 from ddfwsc.link import SystemParams
 from ddfwsc.simulator import SimConfig, SweepRecord, run_simulation, sweep, wilson_interval
 
+# Per-block error matrices of _chunk_errors(params, all four schemes,
+# beta_wsc1=0.5, seed, start, count), captured from the per-block
+# derive_stream/simulate_block loop that the chunk kernel replaced.  Each
+# string lists the sc, wsc1, wsc2 and lar columns in turn.
+_L4 = """
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0 0 0 0 1 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 1 2 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 2 0 0 0 0 0 0 0
+
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0 0 0 0 1 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2 0 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 2 2 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 2 0 0 0 0 0 0 0
+
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0 0 0 0 1 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0
+
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0 0 0 0 1 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0
+    0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0
+"""
+
+_ESTIMATED = """
+    0 0 0 1 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 4 1 0 0 0 0 11 0 0 0 0 0 0 0 0 0 6 0 27
+    0 0 0 0 6 0 2 1 0 0 0 0 0 0 2 0 0 0 0
+
+    0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 7 0 0 0 0 0 16 0 0 0 0 0 0 0 0 0 11 0 27
+    0 0 0 0 8 0 3 0 0 0 0 0 0 0 3 0 0 0 0
+
+    0 0 0 0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 4 1 0 0 0 0 11 0 0 0 0 0 0 0 0 0 6 0 27
+    0 0 0 0 6 0 2 1 0 0 0 0 0 0 2 0 0 0 0
+
+    0 0 0 0 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 4 1 0 0 0 0 11 0 0 0 0 0 0 0 0 0 6 0 25
+    0 0 0 0 6 0 2 1 0 0 0 0 0 0 2 0 0 0 0
+"""
+
+_DEAD_RELAY = """
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 4 0 3 0 0 0 0 4 0 0 0 8 0 0 1 7 0 0 0 5 0 0 0 1 0 2 0 0 1
+    0 0 0 0 5 0 0 1 0 0 0 0 0 7 0 1 0 0
+
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 5 0 3 0 0 0 0 4 0 0 0 10 0 0 1 7 0 0 0 4 0 0 0 0 0 0 0 0 1
+    0 0 0 0 3 0 0 1 0 0 0 0 0 7 0 0 0 0
+
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 6 0 4 0 0 0 0 4 0 0 0 7 0 0 1 10 0 0 0 2 0 0 0 0 0 1 0 0 1
+    0 0 0 0 5 0 0 1 0 0 0 0 0 4 0 0 0 0
+
+    0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 4 0 3 0 0 0 0 4 0 0 0 8 0 0 1 7 0 0 0 5 0 0 0 1 0 2 0 0 1
+    0 0 0 0 5 0 0 1 0 0 0 0 0 7 0 1 0 0
+"""
+
+_ALL_ZERO = """
+    10 8 9 10 7 9 8 9 9 5 8 7 7 10 5 13 8 9 10 8 9 10 7 7 6 5 8 10 8 5 9 8 11 9 8 5 12 7 8 8 8 7
+    8 10 9 7 5 7 10 7 7 6 12 6 6 9 10 8 9 6 8 7 9 11
+
+    8 6 9 10 7 8 7 9 9 5 10 8 7 10 5 12 9 9 7 8 9 9 4 7 6 5 7 9 9 6 7 11 11 6 8 5 10 8 9 9 7 8 9
+    9 7 5 4 7 8 7 6 6 11 6 5 8 9 8 10 6 8 7 9 12
+
+    8 6 10 9 7 7 9 8 11 5 10 8 8 8 5 9 10 9 7 8 8 9 6 8 7 6 10 9 8 6 6 11 10 5 10 7 10 7 10 10 8
+    9 7 8 6 6 5 9 7 8 9 8 9 6 2 5 9 9 10 7 8 8 7 9
+
+    10 8 9 10 7 9 8 9 9 5 8 7 7 10 5 13 8 9 10 8 9 10 7 7 6 5 8 10 8 5 9 8 11 9 8 5 12 7 8 8 8 7
+    8 10 9 7 5 7 10 7 7 6 12 6 6 9 10 8 9 6 8 7 9 11
+"""
+
+_FROZEN_CHUNKS = {
+    "L4": (SystemParams(p0_over_n0_db=10.0, block_len=4), 1, 0, 128, _L4),
+    "estimated": (SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 2.0, 0.5), block_len=64,
+                               snr_mode="estimated"), 3 * 10 ** 9 + 17, 640, 64, _ESTIMATED),
+    "dead_relay": (SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 1.0, 0.0), block_len=16),
+                   5, 0, 64, _DEAD_RELAY),
+    "all_zero": (SystemParams(p0_over_n0_db=10.0, sigma_sq=(0.0, 0.0, 0.0), block_len=16),
+                 7, 0, 64, _ALL_ZERO),
+}
+_ALL_SCHEMES = (SchemeId.SC, SchemeId.WSC1, SchemeId.WSC2, SchemeId.LAR)
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("case", list(_FROZEN_CHUNKS))
+    def test_chunk_errors_frozen(self, case):
+        params, seed, start, count, text = _FROZEN_CHUNKS[case]
+        frozen = np.array(text.split(), dtype=np.int64).reshape(len(_ALL_SCHEMES), count).T
+        got = simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, seed, start, count)
+        assert np.array_equal(got, frozen)
+        # Chunk boundaries do not matter: the same blocks in uneven pieces.
+        pieces = [simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, seed, s, min(37, start + count - s))
+                  for s in range(start, start + count, 37)]
+        assert np.array_equal(np.concatenate(pieces), frozen)
+
 
 class TestWilsonInterval:
     def test_bounds_and_ordering(self):
@@ -168,6 +256,25 @@ class TestSweep:
             assert by_scheme[SchemeId.WSC2].ber <= by_scheme[SchemeId.SC].ber
             assert SchemeId.SC in rec.analytic and SchemeId.WSC2 in rec.analytic
             assert rec.asymptotic is not None  # symmetric unit variances
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pools = []
+
+        class CountingPool(simulator.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+        params = SystemParams(p0_over_n0_db=0.0, block_len=16)
+        cfg = SimConfig(params=params, schemes=(SchemeId.SC, SchemeId.WSC1, SchemeId.WSC2),
+                        max_blocks=300, min_errors=40, seed=11)
+        snrs = [0.0, 5.0, 10.0]
+        serial = sweep(cfg, "snr_db", snrs, optimize_wsc1=True)
+        assert pools == []
+        pooled = sweep(replace(cfg, workers=2), "snr_db", snrs, optimize_wsc1=True)
+        assert len(pools) == 1
+        assert pooled == serial
 
     def test_beta_sweep_has_analytic_column(self):
         params = SystemParams(p0_over_n0_db=15.0, block_len=128)
