@@ -19,8 +19,9 @@ blocks are scheduled across workers or grouped into chunks.  ``stream_keys``
 computes many blocks' keys at once with a vectorized transcription of
 numpy's SeedSequence hash, and ``sample_blocks`` draws a chunk of blocks
 from one reused generator reset to each block's key; both give exactly
-the numbers of ``derive_stream``.  The batched kernel left the contract
-unchanged.
+the numbers of ``derive_stream``.  ``sample_fading_block`` transcribes
+step 1 for one block and is the reference the batched draws are checked
+against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 __all__ = [
     "derive_stream",
     "stream_keys",
-    "sample_complex_gaussian",
     "sample_fading_block",
     "sample_block",
     "sample_blocks",
@@ -115,27 +115,17 @@ def stream_keys(seed: int, stream_ids) -> np.ndarray:
     return keys
 
 
-def sample_complex_gaussian(rng: np.random.Generator, variance: float, size=None) -> np.ndarray | complex:
-    """Draw circularly-symmetric complex Gaussians with the given total variance.
-
-    Each of the real and imaginary parts carries variance/2.
-    """
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
-    if variance == 0:
-        return 0j if size is None else np.zeros(size, dtype=complex)
-    scale = np.sqrt(variance / 2.0)
-    z = rng.normal(0.0, scale, size=size) + 1j * rng.normal(0.0, scale, size=size)
-    return z
-
-
 def sample_fading_block(rng: np.random.Generator, sigma_sq) -> tuple[complex, complex, complex]:
-    """Draw one (h0, h1, h2) fading triple; each gain is constant over the block."""
-    s0, s1, s2 = sigma_sq
-    h0 = sample_complex_gaussian(rng, s0)
-    h1 = sample_complex_gaussian(rng, s1)
-    h2 = sample_complex_gaussian(rng, s2)
-    return h0, h1, h2
+    """Draw one (h0, h1, h2) fading triple by step 1 of the stream contract.
+
+    Each live link takes two standard normals, real part then imaginary
+    part, scaled by sqrt(sigma_i^2 / 2); a zero-variance link draws nothing.
+    """
+    gains = []
+    for s in sigma_sq:
+        re, im = np.sqrt(s / 2.0) * rng.standard_normal(2) if s > 0 else (0.0, 0.0)
+        gains.append(complex(re, im))
+    return tuple(gains)
 
 
 def _empty_draws(count: int, sigma_sq, block_len: int):

@@ -64,16 +64,17 @@ class BlockObservables:
     """Per-block decision variables and relay-side quantities.
 
     From simulate_block the arrays have length L and the rest are scalars;
-    from simulate_blocks every field gains a leading block axis.
-    beta_adaptive is min(1, gamma1/gbar2), with gamma1 as snr_mode delivers
-    it: the LAR relay power factor and the WSC2 weight of the block.
+    from simulate_blocks every field gains a leading block axis.  gamma1 is
+    the S-R SNR as snr_mode delivers it to the destination: P0|h1|^2
+    ("exact") or the received-energy estimate ("estimated").  beta_adaptive
+    is min(1, gamma1/gbar2), the LAR relay power factor and the WSC2 weight
+    of the block.
     """
 
     xi0: np.ndarray
     xi2: np.ndarray
     xiL: np.ndarray
-    gamma1_exact: float | np.ndarray
-    gamma1_est: float | np.ndarray
+    gamma1: float | np.ndarray
     beta_adaptive: float | np.ndarray
     relay_bits: np.ndarray
     tx_bits: np.ndarray
@@ -106,16 +107,14 @@ def relay_detect(y1: np.ndarray) -> np.ndarray:
 def estimate_relay_snr(y1: np.ndarray, block_len: int):
     """Moment estimate of the relay SNR from received energy, clamped at 0.
 
-    Divides by the L+1 symbols actually observed (reference included).  A
-    2-D y1 holds one block per row and gives one estimate per row; each
-    row's energy is its own np.vdot, so every estimate is bit for bit the
-    one-block value.
+    Divides by the L+1 symbols actually observed (reference included).  The
+    energy is summed along the last axis, so a 2-D y1 holding one block per
+    row gives one estimate per row.
     """
     y1 = np.asarray(y1)
     if block_len < 1:
         raise ValueError("block_len must be >= 1")
-    energy = (np.array([np.vdot(row, row).real for row in y1]) if y1.ndim == 2
-              else np.vdot(y1, y1).real)
+    energy = np.sum(y1.real ** 2 + y1.imag ** 2, axis=-1)
     return np.maximum(0.0, energy / (block_len + 1) - 1.0)
 
 
@@ -153,12 +152,10 @@ def simulate_blocks(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarra
 
     y2 = (sqrt_p0 * h2)[:, None] * s_hat + n2
 
-    # Python's abs and ** (libm hypot and pow), as the one-block path always
-    # computed them: numpy's complex abs differs from hypot in the last bit
-    # for about a third of normal draws, and x*x from pow(x, 2) for about 1 in 1000.
-    gamma1_exact = np.array([p0 * abs(g) ** 2 for g in h1.tolist()])
-    gamma1_est = estimate_relay_snr(y1, L)
-    gamma1 = gamma1_exact if params.snr_mode == "exact" else gamma1_est
+    if params.snr_mode == "exact":
+        gamma1 = p0 * (h1.real ** 2 + h1.imag ** 2)
+    else:
+        gamma1 = estimate_relay_snr(y1, L)
 
     gbar2 = p0 * params.sigma_sq[2]
     # A dead relay link (gbar2 = 0) degenerates to direct-only decisions.
@@ -169,8 +166,7 @@ def simulate_blocks(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarra
         xi0=decision_variables(y0),
         xi2=decision_variables(y2),
         xiL=decision_variables(yL),
-        gamma1_exact=gamma1_exact,
-        gamma1_est=gamma1_est,
+        gamma1=gamma1,
         beta_adaptive=beta_adaptive,
         relay_bits=relay_bits,
         tx_bits=tx_bits,

@@ -52,6 +52,8 @@ class SimConfig:
             raise ValueError("max_blocks must be >= 1")
         if self.min_errors < 0:
             raise ValueError("min_errors must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.beta_wsc1) and self.beta_wsc1 > 0):
             raise ValueError(f"beta_wsc1 must be finite and > 0, got {self.beta_wsc1}")
         if self.workers < 1:
@@ -62,6 +64,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class BerEstimate:
+    """One scheme's errors over a run; the ci95 bounds are the bit-level wilson_interval."""
+
     scheme: SchemeId
     bit_errors: int
     bits: int
@@ -80,7 +84,12 @@ class SweepRecord:
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval for an error proportion."""
+    """95% Wilson score interval for an error proportion of n independent trials.
+
+    Applied to bits it assumes independent bits, but a fading block's bits
+    share its gains, so it under-covers on few blocks (3 blocks of 16 bits
+    at 0 dB: sc 0.479, interval [0.345, 0.617], closed form 0.242).
+    """
     if n == 0:
         return 0.0, 1.0
     p = errors / n

@@ -106,6 +106,14 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_negative_seed_usage_error(self, workers):
+        proc = run_cli(["simulate", "--snr-db", "10", "--blocks", "20", "--block-len", "8",
+                        "--seed", "-1", "--workers", workers])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
+
     def test_seed_reproducibility_and_workers(self, capsys):
         args = ["simulate", "--schemes", "sc,wsc2", "--snr-db", "5", "--blocks", "200",
                 "--block-len", "32", "--min-errors", "0", "--seed", "13"]

@@ -90,12 +90,15 @@ class TestLar:
     def test_power_factor_values(self):
         # The relay power factor is beta_wsc2 of the relay SNR the
         # destination sees, and 0 on a dead relay link.
+        gamma1 = {}
         for mode in ("exact", "estimated"):
             params = SystemParams(p0_over_n0_db=10.0, snr_mode=mode)
             obs = simulate_block(params, derive_stream(5, 2))
-            gamma1 = obs.gamma1_exact if mode == "exact" else obs.gamma1_est
-            assert obs.beta_adaptive == beta_wsc2(gamma1, params.gamma_bars[2])
+            assert obs.beta_adaptive == beta_wsc2(obs.gamma1, params.gamma_bars[2])
             assert SCHEMES[SchemeId.WSC2].weight(0.3, obs.beta_adaptive) == obs.beta_adaptive
+            gamma1[mode] = obs.gamma1
+        # The same block's gamma1 is the exact SNR in one mode, its estimate in the other.
+        assert gamma1["exact"] != gamma1["estimated"]
         dead = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 1.0, 0.0))
         assert simulate_block(dead, derive_stream(5, 2)).beta_adaptive == 0.0
 

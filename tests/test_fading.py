@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ddfwsc.fading import (
-    derive_stream,
-    sample_blocks,
-    sample_complex_gaussian,
-    sample_fading_block,
-    stream_keys,
-)
+from ddfwsc.fading import derive_stream, sample_blocks, sample_fading_block, stream_keys
+
+# The distribution checks run on the gains of the batched draw path that
+# the simulator uses: blocks 0..10^6-1 of one seed at L = 1, drawn once
+# (in pieces, so the noise normals never all sit in memory at once).
+_SIGMA_SQ = (1.0, 1.0, 4.0)
+
+
+@pytest.fixture(scope="module")
+def gains():
+    ids = np.arange(10 ** 6).reshape(16, -1)
+    return np.concatenate([sample_blocks(7, part, _SIGMA_SQ, 1)[0] for part in ids]).T
 
 
 def test_same_stream_reproduces():
@@ -58,57 +63,46 @@ def test_sample_blocks_follow_derive_stream():
 
 
 def test_zero_variance_degenerates():
-    rng = derive_stream(0, 0)
-    assert sample_complex_gaussian(rng, 0.0) == 0j
+    h, _, _ = sample_blocks(0, np.arange(1000), (0.0, 1.0, 0.0), 1)
+    assert np.all(h[:, [0, 2]] == 0)
+    assert np.all(h[:, 1] != 0)
 
 
 def test_negative_variance_rejected():
     with pytest.raises(ValueError):
-        sample_complex_gaussian(derive_stream(0, 0), -1.0)
+        sample_blocks(0, [0], (-1.0, 1.0, 1.0), 1)
 
 
-def test_unit_variance_energy():
-    rng = derive_stream(7, 0)
-    z = sample_complex_gaussian(rng, 1.0, size=10 ** 6)
-    assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.01)
+def test_unit_variance_energy(gains):
+    assert np.mean(np.abs(gains[0]) ** 2) == pytest.approx(1.0, abs=0.01)
 
 
-def test_component_variance():
-    rng = derive_stream(8, 0)
-    z = sample_complex_gaussian(rng, 4.0, size=10 ** 6)
-    assert np.var(z.real) == pytest.approx(2.0, abs=0.02)
-    assert np.var(z.imag) == pytest.approx(2.0, abs=0.02)
+def test_component_variance(gains):
+    h2 = gains[2]
+    assert np.var(h2.real) == pytest.approx(2.0, abs=0.02)
+    assert np.var(h2.imag) == pytest.approx(2.0, abs=0.02)
 
 
 def test_fading_block_zero_variances():
     assert sample_fading_block(derive_stream(0, 0), (0, 0, 0)) == (0j, 0j, 0j)
 
 
-def test_fading_block_unit_mean_power_and_independence():
-    rng = derive_stream(9, 0)
-    n = 10 ** 6
-    # Vectorized draw of the h0/h1 marginals keeps this test fast.
-    h0 = sample_complex_gaussian(rng, 1.0, size=n)
-    h1 = sample_complex_gaussian(rng, 1.0, size=n)
-    p0, p1 = np.abs(h0) ** 2, np.abs(h1) ** 2
+def test_fading_block_unit_mean_power_and_independence(gains):
+    p0, p1 = np.abs(gains[0]) ** 2, np.abs(gains[1]) ** 2
     assert np.mean(p0) == pytest.approx(1.0, abs=0.01)
     assert np.mean(p1) == pytest.approx(1.0, abs=0.01)
     corr = np.corrcoef(p0, p1)[0, 1]
     assert abs(corr) < 0.01
 
 
-def test_power_is_exponential_ks():
-    rng = derive_stream(11, 3)
-    sigma_sq = 2.5
-    z = sample_complex_gaussian(rng, sigma_sq, size=10 ** 5)
-    ks = stats.kstest(np.abs(z) ** 2, "expon", args=(0, sigma_sq)).statistic
-    # 1% critical value of the KS statistic for n = 1e5.
-    assert ks < 1.63 / np.sqrt(10 ** 5)
+def test_power_is_exponential_ks(gains):
+    power = np.abs(gains[2]) ** 2
+    ks = stats.kstest(power, "expon", args=(0, _SIGMA_SQ[2])).statistic
+    # 1% critical value of the KS statistic for n = 1e6.
+    assert ks < 1.63 / np.sqrt(power.size)
 
 
-def test_component_normality_moments():
-    rng = derive_stream(12, 0)
-    z = sample_complex_gaussian(rng, 1.0, size=10 ** 6)
-    for part in (z.real, z.imag):
+def test_component_normality_moments(gains):
+    for part in (gains[0].real, gains[0].imag):
         assert abs(stats.skew(part)) < 0.02
         assert abs(stats.kurtosis(part)) < 0.05

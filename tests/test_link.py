@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddfwsc.analysis import ClosedFormContext, cdf_xi0
-from ddfwsc.fading import derive_stream, sample_blocks
+from ddfwsc.fading import derive_stream, sample_block, sample_blocks
 from ddfwsc.link import (
     SystemParams,
     decision_variables,
@@ -141,10 +143,17 @@ class TestSimulateBlock:
         assert errs / bits < 1e-4
 
     def test_gamma1_exact_definition(self):
-        params = SystemParams(p0_over_n0_db=13.0)
-        obs = simulate_block(params, derive_stream(4, 7))
-        assert obs.gamma1_exact >= 0
-        assert np.isfinite(obs.gamma1_est)
+        # exact: P0|h1|^2 of the block's own S-R gain; estimated: the
+        # received-energy estimate of that same SNR, within a few of its
+        # standard deviations sqrt((2 gamma1 + 1) / (L + 1)).
+        exact = SystemParams(p0_over_n0_db=13.0)
+        h1 = sample_block(derive_stream(4, 7), exact.sigma_sq, exact.block_len)[0][0, 1]
+        gamma1 = simulate_block(exact, derive_stream(4, 7)).gamma1
+        assert gamma1 == pytest.approx(exact.p0 * abs(h1) ** 2, rel=1e-14)
+        estimated = replace(exact, snr_mode="estimated")
+        est = simulate_block(estimated, derive_stream(4, 7)).gamma1
+        assert est >= 0
+        assert est == pytest.approx(gamma1, abs=5 * np.sqrt((2 * gamma1 + 1) / (exact.block_len + 1)))
 
     def test_xi0_matches_analytic_cdf(self):
         # Empirical CDF of the direct-link decision variable, conditioned
@@ -166,7 +175,7 @@ class TestSimulateBlock:
         # reuse the relay-link observables bit for bit.
         params = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 10 ** 5, 1.0))
         obs = simulate_block(params, derive_stream(8, 1))
-        assert obs.gamma1_exact >= params.gamma_bars[2]
+        assert obs.gamma1 >= params.gamma_bars[2]
         assert np.array_equal(obs.xiL, obs.xi2)
 
     def test_invalid_params(self):

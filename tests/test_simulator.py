@@ -205,7 +205,7 @@ class TestRunSimulation:
         params = SystemParams(p0_over_n0_db=0.0)
         for kwargs in (dict(max_blocks=0), dict(min_errors=-1), dict(beta_wsc1=0.0),
                        dict(beta_wsc1=float("nan")), dict(beta_wsc1=float("inf")),
-                       dict(workers=0), dict(schemes=())):
+                       dict(workers=0), dict(schemes=()), dict(seed=-1)):
             with pytest.raises(ValueError):
                 SimConfig(params=params, **kwargs)
 
