@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 __all__ = [
     "ClosedFormContext",
@@ -368,34 +369,31 @@ def aber_asymptotic_wsc2(p0: float) -> float:
     return num / den
 
 
-def optimize_beta(ctx: ClosedFormContext, lo: float = 1e-4, hi: float = 4.0) -> tuple[float, float]:
-    """Minimize the WSC1 ABER over the weight factor.
+def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
+    """(beta, aber_wsc1(beta, ctx)) at the exact optimum over all beta > 0.
 
-    A 200-point log-grid scan brackets the minimum (guarding against
-    non-unimodality), then golden-section search refines it to 1e-6.
+    The ABER is N/D up to a constant, with N = u1 (u2 + v2 b)(v0 + b)(v0 + v2 b)
+    + b (I1 + I2) and D = (1 + b)(1 + v2 b)(v0 + b)(v0 + v2 b), so the optimum
+    is the best positive real root of N'D - ND'.  With a dead link (a gbar of
+    exactly 0) the ABER only approaches its beta -> 0 or beta -> inf limit, so
+    no finite optimum exists and ValueError is raised.
     """
-    grid = np.logspace(np.log10(lo), np.log10(hi), 200)
-    vals = np.array([aber_wsc1(b, ctx) for b in grid])
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = aber_wsc1(c, ctx)
-    fd = aber_wsc1(d, ctx)
-    while b - a > 1e-6:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = aber_wsc1(c, ctx)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = aber_wsc1(d, ctx)
-    beta_opt = 0.5 * (a + b)
-    return beta_opt, aber_wsc1(beta_opt, ctx)
+    b = Polynomial([0.0, 1.0])
+    u1, u2, v0, v2 = ctx.u1, ctx.u2, ctx.v0, ctx.v2
+    n = u1 * (u2 + v2 * b) * (v0 + b) * (v0 + v2 * b) + b * (_i1(b, ctx) + _i2(b, ctx))
+    d = (1.0 + b) * (1.0 + v2 * b) * (v0 + b) * (v0 + v2 * b)
+    roots = (n.deriv() * d - n * d.deriv()).roots().real
+    candidates = [r for r in roots.tolist() if r > 0]
+    # Not decided by the limits: at gbar = (10, 10, 1e-9) the optimum beats the
+    # beta -> 0 limit by ~1e-18 relative, as rounding does at (10, 10, 0).
+    if 0.0 in (ctx.gbar0, ctx.gbar1, ctx.gbar2) or not candidates:
+        limit, where = min((1.0 / (2.0 * ctx.u0), "beta -> 0 (direct link only)"),
+                           ((ctx.gbar2 + u1) / (2.0 * u1 * u2), "beta -> inf (relay branch only)"))
+        raise ValueError(f"no finite optimal WSC1 weight at gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, "
+                         f"{ctx.gbar2:g}): the ABER only approaches its {where} limit {limit:.6g}; "
+                         "give a fixed beta")
+    beta = min(candidates, key=lambda c: aber_wsc1(c, ctx))
+    return beta, aber_wsc1(beta, ctx)
 
 
 def diversity_order_estimate(points) -> float:

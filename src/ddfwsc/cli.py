@@ -225,12 +225,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        return cmd_validate(args)
-
     handlers = {"analyze": cmd_analyze, "simulate": cmd_simulate,
                 "sweep-beta": cmd_sweep_beta, "sweep-snr": cmd_sweep_snr}
     try:
+        if args.command == "validate":
+            return cmd_validate(args)
         records = handlers[args.command](args)
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")

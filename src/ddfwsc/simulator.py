@@ -178,13 +178,13 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
     else:
         raise ValueError(f"axis must be 'snr_db' or 'beta', got {axis!r}")
     contexts = [ClosedFormContext(*p.params.gamma_bars) for p in points]
+    if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
+        points = [replace(p, beta_wsc1=analysis.optimize_beta(ctx)[0]) for p, ctx in zip(points, contexts)]
 
     records = []
     symmetric = len(set(cfg.params.sigma_sq)) == 1 and cfg.params.sigma_sq[0] == 1.0
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         for idx, (value, point, ctx) in enumerate(zip(values, points, contexts)):
-            if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
-                point = replace(point, beta_wsc1=analysis.optimize_beta(ctx)[0])
             point = replace(point, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
             estimates = tuple(run_simulation(point, pool=pool))
             analytic = {s: ber for s in cfg.schemes

@@ -153,6 +153,8 @@ def _check_formula_vs_simulation(rng) -> CheckResult:
 
 def run_checks(quick: bool = False, seed: int = 12345) -> list[CheckResult]:
     """Run the oracle suite; quick mode skips the Monte Carlo comparison."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks = [
         _check_pdf_normalization(rng),

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ddfwsc import analysis
@@ -287,7 +289,62 @@ class TestAsymptotic:
             aber_asymptotic_wsc2(0.0)
 
 
+def _mp_aber_wsc1(beta, gbars):
+    """The printed WSC1 expressions evaluated in mpmath at the working precision."""
+    ctx = ClosedFormContext(*(mpmath.mpf(g) for g in gbars))
+    beta = mpmath.mpf(beta)
+    return analysis._wsc1_pe1(beta, ctx) + analysis._wsc1_pe2(beta, ctx)
+
+
+def _mp_optimum(gbars):
+    """Minimum of the 50-digit ABER: a log-grid scan over [1e-15, 1e10], then
+    golden-section search in log beta between the neighbours of the best point."""
+    with mpmath.workdps(50):
+        grid = [mpmath.mpf(10) ** (mpmath.mpf(k) / 10) for k in range(-150, 101)]
+        vals = [_mp_aber_wsc1(b, gbars) for b in grid]
+        k = min(range(len(vals)), key=vals.__getitem__)
+        assert 0 < k < len(grid) - 1, "optimum outside the reference scan"
+        a, b = mpmath.log(grid[k - 1]), mpmath.log(grid[k + 1])
+        f = lambda x: _mp_aber_wsc1(mpmath.exp(x), gbars)
+        invphi = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            c, d = b - invphi * (b - a), a + invphi * (b - a)
+            if f(c) < f(d):
+                b = d
+            else:
+                a = c
+        return f((a + b) / 2)
+
+
 class TestOptimizeBeta:
+    @pytest.mark.parametrize("gbars", [(100.0, 100.0, 100.0), (1e3, 10.0, 1e5), (0.1, 1e4, 1e4),
+                                       (1e8, 1e-3, 1e8), (1e8, 1e8, 1e8),
+                                       (1e-9, 10.0, 10.0), (10.0, 10.0, 1e-9)])
+    def test_matches_high_precision_optimum(self, gbars):
+        ctx = ClosedFormContext(*gbars)
+        beta_opt, pe_min = optimize_beta(ctx)
+        assert math.isfinite(beta_opt) and beta_opt > 0
+        assert pe_min == aber_wsc1(beta_opt, ctx)
+        ref = _mp_optimum(gbars)
+        assert abs(pe_min - ref) <= 1e-12 * ref
+        with mpmath.workdps(50):
+            assert _mp_aber_wsc1(beta_opt, gbars) <= ref * (1 + mpmath.mpf("1e-12"))
+
+    @settings(deadline=None)
+    @given(st.tuples(*[st.floats(min_value=-3.0, max_value=8.0)] * 3))
+    def test_no_lower_value_on_dense_grid_or_limits(self, log_gbars):
+        ctx = ClosedFormContext(*(10.0 ** g for g in log_gbars))
+        _, pe_min = optimize_beta(ctx)
+        grid = [aber_wsc1(b, ctx) for b in np.logspace(-12, 6, 1801)]
+        limits = [1 / (2 * ctx.u0), (ctx.gbar2 + ctx.u1) / (2 * ctx.u1 * ctx.u2)]
+        assert pe_min <= min(grid + limits) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("gbars", [(10.0, 10.0, 0.0), (10.0, 0.0, 10.0), (0.0, 10.0, 10.0),
+                                       (0.0, 0.0, 0.0)])
+    def test_dead_link_has_no_finite_optimum(self, gbars):
+        with pytest.raises(ValueError, match="no finite optimal WSC1 weight"):
+            optimize_beta(ClosedFormContext(*gbars))
+
     def test_never_worse_than_sc(self):
         for db in (0, 10, 20, 30):
             ctx = ClosedFormContext.from_db(db)

@@ -71,6 +71,14 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "gamma_bar_1 must be positive" in proc.stderr
 
+    def test_dead_link_wsc1_needs_fixed_beta(self):
+        args = ["analyze", "--scheme", "wsc1", "--snr-db", "10", "--sigma2", "0"]
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "no finite optimal WSC1 weight" in proc.stderr
+        assert run_cli(args + ["--beta", "0.5"]).returncode == 0
+
     @pytest.mark.parametrize("scheme", ["sc", "wsc2"])
     def test_beta_without_wsc1_usage_error(self, scheme):
         proc = run_cli(["analyze", "--scheme", scheme, "--snr-db", "10", "--beta", "0.3"])
@@ -193,6 +201,12 @@ class TestValidate:
         proc = run_cli(["validate", "--quick"])
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout
+
+    def test_negative_seed_usage_error(self):
+        proc = run_cli(["validate", "--quick", "--seed", "-1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
 
     def test_perturbed_constant_caught(self, monkeypatch):
         # A wrong sign-level constant in the printed closed form must trip

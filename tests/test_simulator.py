@@ -233,6 +233,11 @@ class TestSweep:
             sweep(cfg, "snr_db", [0.0, float("inf")])
         with pytest.raises(ValueError):
             sweep(cfg, "beta", [0.5], optimize_wsc1=True)
+        # A dead R-D link has no finite optimal WSC1 weight at any point.
+        dead = SimConfig(params=SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 1.0, 0.0)),
+                         schemes=(SchemeId.WSC1,), max_blocks=10)
+        with pytest.raises(ValueError, match="no finite optimal WSC1 weight"):
+            sweep(dead, "snr_db", [0.0, 10.0], optimize_wsc1=True)
 
     def test_records_carry_wsc1_weight(self):
         params = SystemParams(p0_over_n0_db=0.0, block_len=16)
