@@ -376,7 +376,10 @@ def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     + b (I1 + I2) and D = (1 + b)(1 + v2 b)(v0 + b)(v0 + v2 b), so the optimum
     is the best positive real root of N'D - ND'.  With a dead link (a gbar of
     exactly 0) the ABER only approaches its beta -> 0 or beta -> inf limit, so
-    no finite optimum exists and ValueError is raised.
+    no finite optimum exists and ValueError is raised.  With every link live
+    a finite optimum exists, but where the ABER is flat to within float
+    precision its root can be lost to coefficient rounding; that also raises
+    ValueError, with a message that says so.
     """
     b = Polynomial([0.0, 1.0])
     u1, u2, v0, v2 = ctx.u1, ctx.u2, ctx.v0, ctx.v2
@@ -386,12 +389,17 @@ def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     candidates = [r for r in roots.tolist() if r > 0]
     # Not decided by the limits: at gbar = (10, 10, 1e-9) the optimum beats the
     # beta -> 0 limit by ~1e-18 relative, as rounding does at (10, 10, 0).
-    if 0.0 in (ctx.gbar0, ctx.gbar1, ctx.gbar2) or not candidates:
+    dead = 0.0 in (ctx.gbar0, ctx.gbar1, ctx.gbar2)
+    if dead or not candidates:
         limit, where = min((1.0 / (2.0 * ctx.u0), "beta -> 0 (direct link only)"),
                            ((ctx.gbar2 + u1) / (2.0 * u1 * u2), "beta -> inf (relay branch only)"))
-        raise ValueError(f"no finite optimal WSC1 weight at gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, "
-                         f"{ctx.gbar2:g}): the ABER only approaches its {where} limit {limit:.6g}; "
-                         "give a fixed beta")
+        at = f"gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g})"
+        if dead:
+            raise ValueError(f"no finite optimal WSC1 weight at {at}: a link is dead, so the ABER only "
+                             f"approaches its {where} limit {limit:.6g}; give a fixed beta")
+        raise ValueError(f"optimal WSC1 weight lost to rounding at {at}: every link is live, so a finite "
+                         f"optimum exists, but the ABER is flat to within float precision near its {where} "
+                         f"limit {limit:.6g}; give a fixed beta")
     beta = min(candidates, key=lambda c: aber_wsc1(c, ctx))
     return beta, aber_wsc1(beta, ctx)
 

@@ -3,14 +3,17 @@
 Every block is generated from its own (seed, block_index) stream (see
 ``fading``), so results are bit-exact for a fixed configuration
 regardless of how many workers are used.  The kernel, ``_chunk_errors``,
-works on a chunk of _CHUNK consecutive blocks at once: it hashes the
-chunk's Philox keys in numpy, draws each block from one reused generator
-reset to that block's key, runs the link for the whole chunk with
+works on a chunk of consecutive blocks at once: it hashes the chunk's
+Philox keys in numpy, draws each block from one reused generator reset to
+that block's key, runs the link for the whole chunk with
 ``simulate_blocks`` and calls each scheme's combiner once, with a
-per-block weight array for WSC2.  Blocks are simulated in rounds of
-_CHUNK blocks per worker; workers only split each round, and early
-stopping is applied at block granularity, so the stop point is the same
-for every round size and worker count.
+per-block weight array for WSC2.  A chunk is sized by work, not by block
+count (``_chunk_len``): as many blocks as fit in 4096 channel uses, but
+at least 64, so short blocks do not pay the kernel's fixed per-call cost
+every 64 blocks.  Blocks are simulated in rounds of one chunk per worker;
+workers only split each round, and early stopping is applied at block
+granularity, so the stop point is the same for every chunk length, round
+size and worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .link import simulate_block  # noqa: F401
 
 __all__ = ["SimConfig", "BerEstimate", "SweepRecord", "run_simulation", "sweep", "wilson_interval"]
 
-_CHUNK = 64
+_MIN_CHUNK = 64  # blocks
+_CHUNK_USES = 64 * 64  # channel uses: a 64-block chunk at L = 63 (L + 1 symbols a block)
 _SWEEP_SEED_STRIDE = 10 ** 9
 
 
@@ -99,6 +103,14 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _chunk_len(block_len: int) -> int:
+    """Blocks per kernel call: as many as fit in _CHUNK_USES channel uses, but at least _MIN_CHUNK.
+
+    Every block_len >= 63 keeps the 64-block chunk; L = 4 gets 819 blocks.
+    """
+    return max(_MIN_CHUNK, _CHUNK_USES // (block_len + 1))
+
+
 def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
                   start: int, count: int) -> np.ndarray:
     """Per-block error counts for blocks [start, start+count), shape (count, n_schemes)."""
@@ -119,16 +131,18 @@ def run_simulation(cfg: SimConfig, pool: Executor | None = None) -> list[BerEsti
     """Simulate until every scheme has min_errors errors or max_blocks is hit.
 
     All schemes are evaluated on the same block realizations.  Blocks run
-    in rounds of _CHUNK blocks per worker, and the run stops at the first
-    block whose cumulative counts meet min_errors for every scheme, so the
-    stop point depends on neither the round size nor the worker count.
+    in rounds of one chunk (``_chunk_len`` blocks) per worker, and the run
+    stops at the first block whose cumulative counts meet min_errors for
+    every scheme, so the stop point depends on neither the chunk length nor
+    the worker count.
     Chunks run on ``pool`` when one is given; otherwise a run with
     workers > 1 opens its own process pool for the run.
     """
     schemes = tuple(cfg.schemes)
     args = (cfg.params, schemes, cfg.beta_wsc1, cfg.seed)
     target = cfg.min_errors or math.inf  # min_errors = 0 runs to max_blocks
-    step = _CHUNK * cfg.workers
+    chunk = _chunk_len(cfg.params.block_len)
+    step = chunk * cfg.workers
     totals = np.zeros(len(schemes), dtype=np.int64)
     own_pool = pool is None and cfg.workers > 1
     with ProcessPoolExecutor(cfg.workers) if own_pool else nullcontext(pool) as pool:
@@ -136,8 +150,8 @@ def run_simulation(cfg: SimConfig, pool: Executor | None = None) -> list[BerEsti
             stop = min(start + step, cfg.max_blocks)
             errors = (_chunk_errors(*args, start, stop - start) if pool is None else
                       np.concatenate([f.result() for f in [
-                          pool.submit(_chunk_errors, *args, s, min(_CHUNK, stop - s))
-                          for s in range(start, stop, _CHUNK)]]))
+                          pool.submit(_chunk_errors, *args, s, min(chunk, stop - s))
+                          for s in range(start, stop, chunk)]]))
             cum = totals + np.cumsum(errors, axis=0)
             met = np.flatnonzero(np.all(cum >= target, axis=1))
             used = int(met[0]) + 1 if met.size else stop - start

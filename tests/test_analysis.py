@@ -342,8 +342,18 @@ class TestOptimizeBeta:
     @pytest.mark.parametrize("gbars", [(10.0, 10.0, 0.0), (10.0, 0.0, 10.0), (0.0, 10.0, 10.0),
                                        (0.0, 0.0, 0.0)])
     def test_dead_link_has_no_finite_optimum(self, gbars):
-        with pytest.raises(ValueError, match="no finite optimal WSC1 weight"):
+        with pytest.raises(ValueError, match="no finite optimal WSC1 weight .*: a link is dead"):
             optimize_beta(ClosedFormContext(*gbars))
+
+    def test_optimum_lost_to_rounding_says_so(self):
+        # Every link is live, so a finite optimum exists, but the ABER is flat
+        # to far below float precision and the root of N'D - ND' is rounded away.
+        ctx = ClosedFormContext(4.47e4, 3.74e-10, 3.23e-10)
+        with pytest.raises(ValueError, match="lost to rounding .*: every link is live") as info:
+            optimize_beta(ctx)
+        assert "no finite optimal" not in str(info.value)
+        limit = 1 / (2 * ctx.u0)
+        assert aber_wsc1(1e-3, ctx) == pytest.approx(limit, rel=1e-6)
 
     def test_never_worse_than_sc(self):
         for db in (0, 10, 20, 30):

@@ -79,6 +79,17 @@ class TestAnalyze:
         assert "no finite optimal WSC1 weight" in proc.stderr
         assert run_cli(args + ["--beta", "0.5"]).returncode == 0
 
+    def test_optimum_lost_to_rounding_needs_fixed_beta(self):
+        # gamma_bar ~ (4.47e4, 3.74e-10, 3.23e-10): all links live, ABER flat to float precision.
+        args = ["analyze", "--scheme", "wsc1", "--snr-db", "46.503", "--sigma1", "8.37e-15",
+                "--sigma2", "7.23e-15"]
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "optimal WSC1 weight lost to rounding" in proc.stderr
+        assert "no finite optimal" not in proc.stderr
+        assert run_cli(args + ["--beta", "0.5"]).returncode == 0
+
     @pytest.mark.parametrize("scheme", ["sc", "wsc2"])
     def test_beta_without_wsc1_usage_error(self, scheme):
         proc = run_cli(["analyze", "--scheme", scheme, "--snr-db", "10", "--beta", "0.3"])
@@ -140,6 +151,15 @@ class TestSimulate:
                    "--block-len", "64", "--min-errors", "0", "--seed", "99"])
         assert rc == 0
         assert capsys.readouterr().out == (GOLDEN / "simulate_c9.csv").read_text()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_matches_short_block_golden_output(self, capsys, workers):
+        # L = 4 with an early stop in the middle of a chunk (5846 blocks); the
+        # file pins its stdout byte for byte, for any worker count.
+        rc = main(["simulate", "--schemes", "sc,wsc1,wsc2,lar", "--snr-db", "10", "--blocks", "20000",
+                   "--block-len", "4", "--min-errors", "300", "--seed", "5", "--workers", workers])
+        assert rc == 0
+        assert capsys.readouterr().out == (GOLDEN / "simulate_l4.csv").read_text()
 
 
 class TestSweepCommands:

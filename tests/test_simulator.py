@@ -154,7 +154,7 @@ class TestRunSimulation:
             runs = [run_simulation(replace(cfg, workers=w)) for w in workers]
             blocks = runs[0][0].bits // 32
             for w in workers:
-                assert blocks % (simulator._CHUNK * w) != 0
+                assert blocks % (simulator._chunk_len(32) * w) != 0
             if min_errors < 10 ** 9:
                 assert blocks < max_blocks
                 assert all(e.bit_errors >= min_errors for e in runs[0])
@@ -177,7 +177,33 @@ class TestRunSimulation:
                         min_errors=150, seed=9)
         used = run_simulation(cfg)[0].bits // 32
         assert used < cfg.max_blocks
-        assert 0 <= sum(simulated) - used < simulator._CHUNK
+        # One round is one chunk per worker, and the chunk is sized by block length.
+        assert set(simulated[:-1]) <= {simulator._chunk_len(32)}
+        assert 0 <= sum(simulated) - used < simulator._chunk_len(32)
+
+    def test_chunk_is_64_blocks_from_block_len_63(self):
+        for block_len in (63, 64, 65, 100, 128, 256, 1024, 10 ** 6):
+            assert simulator._chunk_len(block_len) == 64
+        # Shorter blocks get as many blocks as fit in 4096 channel uses (L + 1 per block).
+        for block_len in range(1, 63):
+            chunk = simulator._chunk_len(block_len)
+            assert chunk > 64
+            assert chunk * (block_len + 1) <= 4096 < (chunk + 1) * (block_len + 1)
+
+    def test_chunk_length_does_not_change_estimates(self, monkeypatch):
+        # An L = 4 run that stops mid-chunk on min_errors, with its own chunk
+        # length and with the chunk forced to 64 blocks.
+        params = SystemParams(p0_over_n0_db=10.0, block_len=4)
+        cfg = SimConfig(params=params, schemes=(SchemeId.SC, SchemeId.WSC1, SchemeId.WSC2, SchemeId.LAR),
+                        max_blocks=20_000, min_errors=300, seed=5)
+        sized = [run_simulation(replace(cfg, workers=w)) for w in (1, 2)]
+        blocks = sized[0][0].bits // 4
+        assert blocks < cfg.max_blocks
+        assert blocks % simulator._chunk_len(4) != 0 and blocks % 64 != 0
+        monkeypatch.setattr(simulator, "_chunk_len", lambda block_len: 64)
+        fixed = [run_simulation(replace(cfg, workers=w)) for w in (1, 2)]
+        assert sized[1] == sized[0]
+        assert fixed == [sized[0], sized[0]]
 
     def test_early_stop_block_granularity(self):
         params = SystemParams(p0_over_n0_db=0.0, block_len=64)
