@@ -20,6 +20,7 @@ from .analysis import ClosedFormContext
 from .combiners import SCHEMES, SchemeId
 from .link import SystemParams
 from .simulator import SimConfig, run_simulation, sweep
+from .validation import run_checks
 
 COLUMNS = ["snr_db", "scheme", "beta", "ber_sim", "ci95_low", "ci95_high",
            "ber_analytic", "ber_asymptotic", "bit_errors", "bits"]
@@ -202,14 +203,6 @@ def cmd_sweep_snr(args) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
-    try:
-        from .validation import run_checks
-    except ModuleNotFoundError as exc:
-        if exc.name != "scipy":
-            raise
-        print("error: validate needs scipy; install the extra: pip install 'ddfwsc[validate]'",
-              file=sys.stderr)
-        return 2
     checks = run_checks(quick=args.quick, seed=args.seed)
     width = max(len(c.name) for c in checks)
     failed = 0
