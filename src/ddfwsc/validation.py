@@ -51,7 +51,7 @@ _PANEL = 0.5  # panel width in the log variable
 
 def _log_rule(lo: float, hi: float, splits=()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with sum(w * g(x)) ~ int_lo^hi g(x) dx, panels in ln x."""
-    edges = [math.log(lo), *sorted(math.log(s) for s in splits if lo < s < hi), math.log(hi)]
+    edges = [math.log(lo), *sorted({math.log(s) for s in splits if lo < s < hi}), math.log(hi)]
     nodes, weights = [], []
     for a, b in zip(edges, edges[1:]):
         n = math.ceil((b - a) / _PANEL)

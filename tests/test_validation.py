@@ -53,6 +53,13 @@ def test_wsc2_matches_closed_form_at_extreme_phi(gb):
     assert aber_wsc2(ctx) == pytest.approx(aber_wsc2_by_integration(ctx), rel=1e-4)
 
 
+@pytest.mark.parametrize("gb", [(1.0, 1.0, 1.0), (10.0, 5.0, 1.0)])
+def test_wsc2_when_the_beta_kink_falls_on_the_gamma1_split(gb):
+    # gbar2 = 1 puts both gamma1 panel edges at 1; (1, 1, 1) is from_db(0.0).
+    ctx = ClosedFormContext(*gb)
+    assert aber_wsc2_by_integration(ctx) == pytest.approx(aber_wsc2(ctx), rel=1e-4)
+
+
 @pytest.mark.parametrize("scheme,gb,beta", POINTS + _criterion_1_draws(5))
 def test_halving_the_panels_moves_the_oracle_by_at_most_1e9(monkeypatch, scheme, gb, beta):
     ref = _oracle(scheme, gb, beta)
