@@ -5,13 +5,19 @@ u_i = 1 + gbar_i, v_i = 1 + 2*gbar_i and phi = gbar2/gbar1 are carried in
 an immutable ClosedFormContext shared by every evaluator.
 
 Exponential-integral products exp(a)*E1(z) are evaluated as
-exp(a - z) * (exp(z)*E1(z)); for every term appearing here a - z <= 0, so
-the closed forms stay finite at arbitrarily high SNR.
+exp(a - z) * (exp(z)*E1(z)).  WSC2 takes them in pairs of reduced arguments
+(_e1_pair): every argument is a product, never a difference of O(gbar)
+terms, and a - z <= 0 by construction, so the closed forms stay finite at
+any SNR.  Against a 60-digit evaluation of the printed expressions, float64
+aber_wsc2 is within 1e-6 relative for every gbar_i in [1e-3, 1e8] (1e-8 at
+symmetric SNRs to 80 dB).  Above 1e8 it warns: its E1 differences at tiny r
+lose digits (1.3e-7 at 100 dB, 1.2e-5 at 120 dB, 3.5e-2 at 150 dB).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,17 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
+
+
+def _db_to_power(p0_over_n0_db: float) -> float:
+    """P0 = 10**(dB/10); ValueError unless that is a finite float."""
+    try:
+        p0 = 10.0 ** (p0_over_n0_db / 10.0)
+    except OverflowError:
+        p0 = math.inf
+    if not math.isfinite(p0):
+        raise ValueError(f"P0/N0 = {p0_over_n0_db} dB gives a non-finite power P0")
+    return p0
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,7 @@ class ClosedFormContext:
 
     @classmethod
     def from_db(cls, p0_over_n0_db: float, sigma_sq=(1.0, 1.0, 1.0)) -> "ClosedFormContext":
-        p0 = 10.0 ** (p0_over_n0_db / 10.0)
+        p0 = _db_to_power(p0_over_n0_db)
         return cls(p0 * sigma_sq[0], p0 * sigma_sq[1], p0 * sigma_sq[2])
 
 
@@ -218,7 +235,7 @@ def exp_integral_e1_scaled(x: float) -> float:
 
 
 def _exp_e1(a_minus_z: float, z: float) -> float:
-    """exp(a) * E1(z) evaluated via exp(a - z) * (exp(z) E1(z)); needs a <= z."""
+    """exp(a) * E1(z) evaluated via exp(a - z) * (exp(z) E1(z)); a - z <= 0 by construction."""
     return math.exp(a_minus_z) * exp_integral_e1_scaled(z)
 
 
@@ -270,16 +287,14 @@ def aber_wsc1(beta: float, ctx: ClosedFormContext) -> float:
 # WSC2 closed form
 # ---------------------------------------------------------------------------
 
+def _e1_pair(r: float, s: float, g: float) -> float:
+    """exp((1+2g)r) * (E1((1+2g)r) - E1(2(g+s)r)) for r > 0, s >= 1, g >= 0."""
+    return _exp_e1(0.0, (1.0 + 2.0 * g) * r) - _exp_e1(-(2.0 * s - 1.0) * r, 2.0 * (g + s) * r)
+
+
 def _wsc2_l1(ctx: ClosedFormContext) -> float:
     u0, u2, v2, phi = ctx.u0, ctx.u2, ctx.v2, ctx.phi
-    # Every exp(a)*E1(z) below has a - z <= 0.
-    bracket = (
-        _exp_e1(0.0, phi)
-        - _exp_e1(-phi, 2.0 * phi)
-        + _exp_e1(0.0, phi / v2)
-        - _exp_e1(-phi, 2.0 * u2 * phi / v2)
-    )
-    return phi / (4.0 * u0 * u2) * bracket
+    return phi / (4.0 * u0 * u2) * (_e1_pair(phi, 1.0, 0.0) + _e1_pair(phi / v2, u2, 0.0))
 
 
 def _wsc2_l2(ctx: ClosedFormContext) -> float:
@@ -287,41 +302,19 @@ def _wsc2_l2(ctx: ClosedFormContext) -> float:
     return (3.0 * u2 - 1.0) / (8.0 * u0 * u2 ** 2) * math.exp(-phi)
 
 
-def _wsc2_xi(x1: float, x2: float, x3: float, x4: float, x5: float, ctx: ClosedFormContext) -> float:
-    """The Xi term of the WSC2 analysis with the exp(-(1+u1)phi) prefactor of
-    the enclosing expression already folded in; returns exp(-(1+u1)phi) * Xi / u1."""
-    u0, u1, v0, phi = ctx.u0, ctx.u1, ctx.v0, ctx.phi
-    g2 = ctx.gbar2
-    a = (x2 - 1.0 - u1) * phi            # net prefactor exponent
-    a2 = a + 2.0 * ctx.gbar0 * phi * x4  # prefactor of the v0^2 group
-    bracket = (
-        _exp_e1(a - 2.0 * phi * x3, 2.0 * phi * x3)
-        - _exp_e1(a - phi * x4, phi * x4)
-        - v0 ** 2 * (
-            _exp_e1(a2 - v0 * phi * x4, v0 * phi * x4)
-            - _exp_e1(a2 - 2.0 * u0 * phi * x5, 2.0 * u0 * phi * x5)
-        )
-    )
-    return g2 * x1 * bracket
-
-
 def _wsc2_k1(ctx: ClosedFormContext) -> float:
-    u0, u1, u2, v2, phi = ctx.u0, ctx.u1, ctx.u2, ctx.v2, ctx.phi
-    g1, g2 = ctx.gbar1, ctx.gbar2
+    u0, u1, u2, v0, v2, phi = ctx.u0, ctx.u1, ctx.u2, ctx.v0, ctx.v2, ctx.phi
+    g0, g1, g2 = ctx.gbar0, ctx.gbar1, ctx.gbar2
 
     # Elementary part, with exponents combined so every one is <= 0:
     # exp(gbar2 - (1+u1)phi + phi) = exp(-phi), exp(u1 phi - u1 phi) = 1.
-    elementary = (
-        1.0 + g1 + g2
-        - g2 * math.exp(-u1 * phi)
-        - u1 * math.exp(-phi)
-    ) / (2.0 * u1 * u2)
+    elementary = (1.0 + g1 + g2 - g2 * math.exp(-u1 * phi) - u1 * math.exp(-phi)) / (2.0 * u1 * u2)
 
-    xi_sum = (
-        _wsc2_xi(1.0, (2.0 * (1.0 + u1) * u2 - 1.0) / v2, u1 * u2 / v2, u1 / v2,
-                 u1 * (u0 + u2 - 1.0) / (u0 * v2), ctx)
-        + _wsc2_xi(2.0, 2.0 + u1, 1.0, 1.0, 1.0, ctx)
-        + _wsc2_xi(-1.0, 1.0 + 2.0 * u1, u1, u1, u1, ctx)
+    # The three Xi terms with the exp(-(1+u1)phi) prefactor folded in.  In the
+    # printed Xi(x1..x5) the net exponent a reduces to r and a2 to v0 r.
+    xi_sum = sum(
+        -g2 * x1 * (_e1_pair(r, s, 0.0) + v0 ** 2 * _e1_pair(r, s, g0))
+        for x1, r, s in ((1.0, u1 * phi / v2, u2), (2.0, phi, 1.0), (-1.0, u1 * phi, 1.0))
     )
     return elementary + xi_sum / (8.0 * u0 * g1 * u2)
 
@@ -343,6 +336,10 @@ def aber_wsc2(ctx: ClosedFormContext) -> float:
         raise ValueError("gamma_bar_1 must be positive for the wsc2 closed form")
     if ctx.gbar2 <= 0:
         raise ValueError("gamma_bar_2 must be positive for the wsc2 closed form")
+    if max(ctx.gbar0, ctx.gbar1, ctx.gbar2) > 1e8:  # the top of the range checked to 1e-6 relative
+        warnings.warn(f"aber_wsc2 at gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g}) is outside "
+                      "its checked range (all <= 1e8) and may lose digits: 1.3e-7 relative at 100 dB, "
+                      "3.5e-2 at 150 dB", RuntimeWarning, stacklevel=2)
     return _wsc2_l1(ctx) + _wsc2_l2(ctx) + _wsc2_k1(ctx) + _wsc2_k2(ctx)
 
 

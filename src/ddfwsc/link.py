@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .analysis import _db_to_power
 from .combiners import _sign, beta_wsc2
 from .fading import sample_block
 # Not called here any more; perfbench/tracing.py wraps it under this module's name.
@@ -50,7 +51,7 @@ class SystemParams:
 
     @property
     def p0(self) -> float:
-        return 10.0 ** (self.p0_over_n0_db / 10.0)
+        return _db_to_power(self.p0_over_n0_db)
 
     @property
     def gamma_bars(self) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -43,6 +44,11 @@ class TestContext:
             ClosedFormContext(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             ClosedFormContext(float("nan"), 1.0, 1.0)
+
+    @pytest.mark.parametrize("db", [4000.0, float("inf"), float("nan")])
+    def test_from_db_rejects_non_finite_power(self, db):
+        with pytest.raises(ValueError, match="non-finite power"):
+            ClosedFormContext.from_db(db)
 
 
 class TestDirectLinkDistributions:
@@ -272,6 +278,32 @@ class TestAberWsc2:
         with pytest.raises(ValueError):
             aber_wsc2(ClosedFormContext(1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("gbars", [(10.0 ** (db / 10),) * 3 for db in (40, 50, 60, 70, 80)]
+                             + [(1.2518e5, 1.1425e-3, 5.1315e4), (8.844e5, 2.168, 14.31),
+                                (1e4, 1e-3, 1e4), (1e3, 1e-2, 1e3)])
+    def test_matches_high_precision_reference(self, gbars):
+        ref = _mp_aber_wsc2(gbars)
+        assert abs(aber_wsc2(ClosedFormContext(*gbars)) - ref) <= 1e-8 * ref
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.tuples(*[st.floats(min_value=-3.0, max_value=8.0)] * 3))
+    def test_matches_high_precision_reference_over_range(self, log_gbars):
+        gbars = tuple(10.0 ** g for g in log_gbars)
+        ref = _mp_aber_wsc2(gbars)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning inside the checked range
+            got = aber_wsc2(ClosedFormContext(*gbars))
+        assert abs(got - ref) <= 1e-6 * ref
+
+    def test_warns_above_checked_range(self):
+        with pytest.warns(RuntimeWarning, match="outside its checked range") as record:
+            val = aber_wsc2(ClosedFormContext.from_db(100.0))
+        assert len(record) == 1
+        assert val == pytest.approx(float(_mp_aber_wsc2((1e10,) * 3)), rel=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aber_wsc2(ClosedFormContext.from_db(80.0))
+
 
 class TestAsymptotic:
     def test_leading_term(self):
@@ -294,6 +326,39 @@ def _mp_aber_wsc1(beta, gbars):
     ctx = ClosedFormContext(*(mpmath.mpf(g) for g in gbars))
     beta = mpmath.mpf(beta)
     return analysis._wsc1_pe1(beta, ctx) + analysis._wsc1_pe2(beta, ctx)
+
+
+def _mp_aber_wsc2(gbars):
+    """The printed WSC2 expressions in mpmath at 60 digits: the x1..x5 Xi terms
+    and their a/a2 exponents as printed, each exp(a)*E1(z) taken directly."""
+    with mpmath.workdps(60):
+        g0, g1, g2 = (mpmath.mpf(g) for g in gbars)
+        u0, u1, u2, v0, v2 = 1 + g0, 1 + g1, 1 + g2, 1 + 2 * g0, 1 + 2 * g2
+        phi = g2 / g1
+        exp_e1 = lambda a_minus_z, z: mpmath.exp(a_minus_z + z) * mpmath.e1(z)
+
+        l1 = phi / (4 * u0 * u2) * (exp_e1(0, phi) - exp_e1(-phi, 2 * phi)
+                                    + exp_e1(0, phi / v2) - exp_e1(-phi, 2 * u2 * phi / v2))
+        l2 = (3 * u2 - 1) / (8 * u0 * u2 ** 2) * mpmath.exp(-phi)
+
+        def xi(x1, x2, x3, x4, x5):
+            a = (x2 - 1 - u1) * phi
+            a2 = a + 2 * g0 * phi * x4
+            return g2 * x1 * (exp_e1(a - 2 * phi * x3, 2 * phi * x3) - exp_e1(a - phi * x4, phi * x4)
+                              - v0 ** 2 * (exp_e1(a2 - v0 * phi * x4, v0 * phi * x4)
+                                           - exp_e1(a2 - 2 * u0 * phi * x5, 2 * u0 * phi * x5)))
+
+        elementary = (1 + g1 + g2 - g2 * mpmath.exp(-u1 * phi)
+                      - u1 * mpmath.exp(g2 - (1 + u1) * phi + phi)) / (2 * u1 * u2)
+        xi_sum = (xi(1, (2 * (1 + u1) * u2 - 1) / v2, u1 * u2 / v2, u1 / v2, u1 * (u0 + u2 - 1) / (u0 * v2))
+                  + xi(2, 2 + u1, 1, 1, 1) + xi(-1, 1 + 2 * u1, u1, u1, u1))
+        k1 = elementary + xi_sum / (8 * u0 * g1 * u2)
+
+        w = 1 - u0 - u2
+        j1 = mpmath.e * (1 - u2) * (u2 + u0 * (1 - 7 * u2 - u0 * (1 - 4 * u2 - 8 * u2 ** 2)))
+        j2 = mpmath.exp(u2) * 2 * (3 * u0 - 1) * u1 * w * u2
+        k2 = mpmath.exp(-1 - u1 * phi) * (j1 + j2) / (16 * u0 ** 2 * u1 * w * u2 ** 2)
+        return l1 + l2 + k1 + k2
 
 
 def _mp_optimum(gbars):

@@ -101,6 +101,22 @@ class TestAnalyze:
         proc = run_cli(["analyze", "--scheme", "wsc1"])
         assert proc.returncode == 2
 
+    def test_overflowing_power_is_usage_error(self):
+        proc = run_cli(["analyze", "--scheme", "sc", "--snr-db", "4000"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: P0/N0 = 4000.0 dB gives a non-finite power P0\n"
+
+    def test_wsc2_to_100db_warns_above_checked_range(self):
+        proc = run_cli(["analyze", "--scheme", "wsc2", "--snr-db", "0:100:10"])
+        assert proc.returncode == 0
+        bers = [float(r.split(",")[6]) for r in proc.stdout.strip().splitlines()[1:]]
+        assert len(bers) == 11
+        assert all(0 < b < a for a, b in zip(bers, bers[1:]))
+        # 90 and 100 dB are above 1e8; 80 dB is not.
+        assert proc.stderr.count("RuntimeWarning: aber_wsc2 at gamma_bar") == 2
+        assert "(1e+08, 1e+08, 1e+08)" not in proc.stderr
+
 
 class TestSimulate:
     def test_wsc2_beats_sc(self, capsys):
@@ -116,6 +132,12 @@ class TestSimulate:
     def test_zero_blocks_usage_error(self):
         proc = run_cli(["simulate", "--snr-db", "10", "--blocks", "0"])
         assert proc.returncode == 2
+
+    def test_overflowing_power_is_usage_error(self):
+        proc = run_cli(["simulate", "--snr-db", "4000", "--blocks", "10"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: P0/N0 = 4000.0 dB gives a non-finite power P0\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep-beta"])
     @pytest.mark.parametrize("beta", ["nan", "inf"])
