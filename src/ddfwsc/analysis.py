@@ -349,20 +349,26 @@ def aber_wsc2(ctx: ClosedFormContext) -> float:
 
 def aber_asymptotic_wsc2(p0: float) -> float:
     """High-SNR approximation of the WSC2 ABER for the symmetric unit-variance
-    channel, evaluated with the published fitted coefficients."""
+    channel, evaluated with the published fitted coefficients.
+
+    ValueError where p0**8 overflows float64 (P0/N0 above about 385 dB).
+    """
     if not p0 > 0:
         raise ValueError(f"p0 must be > 0, got {p0}")
     lp = math.log(p0)
-    num = (
-        0.03
-        - 0.09 * p0
-        + p0 ** 2 * (-0.16 - 0.03 * lp)
-        + p0 ** 3 * (1.75 + 0.06 * lp)
-        + p0 ** 4 * (4.53 + 0.47 * lp)
-        + p0 ** 5 * (3.84 + 0.63 * lp)
-        + p0 ** 6 * (1.11 + 0.25 * lp)
-    )
-    den = p0 ** 4 + p0 ** 5 + p0 ** 6 + p0 ** 7 + p0 ** 8
+    try:
+        num = (
+            0.03
+            - 0.09 * p0
+            + p0 ** 2 * (-0.16 - 0.03 * lp)
+            + p0 ** 3 * (1.75 + 0.06 * lp)
+            + p0 ** 4 * (4.53 + 0.47 * lp)
+            + p0 ** 5 * (3.84 + 0.63 * lp)
+            + p0 ** 6 * (1.11 + 0.25 * lp)
+        )
+        den = p0 ** 4 + p0 ** 5 + p0 ** 6 + p0 ** 7 + p0 ** 8
+    except OverflowError:
+        raise ValueError(f"the WSC2 asymptote overflows float64 at p0 = {p0:g}") from None
     return num / den
 
 
@@ -376,13 +382,23 @@ def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     no finite optimum exists and ValueError is raised.  With every link live
     a finite optimum exists, but where the ABER is flat to within float
     precision its root can be lost to coefficient rounding; that also raises
-    ValueError, with a message that says so.
+    ValueError, with a message that says so, as does a gbar so large that the
+    polynomial's coefficients overflow float64 (above about 377 dB at unit
+    variances).
     """
     b = Polynomial([0.0, 1.0])
     u1, u2, v0, v2 = ctx.u1, ctx.u2, ctx.v0, ctx.v2
-    n = u1 * (u2 + v2 * b) * (v0 + b) * (v0 + v2 * b) + b * (_i1(b, ctx) + _i2(b, ctx))
-    d = (1.0 + b) * (1.0 + v2 * b) * (v0 + b) * (v0 + v2 * b)
-    roots = (n.deriv() * d - n * d.deriv()).roots().real
+    at = f"gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g})"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = u1 * (u2 + v2 * b) * (v0 + b) * (v0 + v2 * b) + b * (_i1(b, ctx) + _i2(b, ctx))
+            d = (1.0 + b) * (1.0 + v2 * b) * (v0 + b) * (v0 + v2 * b)
+            stationary = n.deriv() * d - n * d.deriv()
+    except OverflowError:
+        stationary = None
+    if stationary is None or not np.all(np.isfinite(stationary.coef)):
+        raise ValueError(f"the WSC1 ABER polynomial overflows float64 at {at}; give a fixed beta")
+    roots = stationary.roots().real
     candidates = [r for r in roots.tolist() if r > 0]
     # Not decided by the limits: at gbar = (10, 10, 1e-9) the optimum beats the
     # beta -> 0 limit by ~1e-18 relative, as rounding does at (10, 10, 0).
@@ -390,7 +406,6 @@ def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     if dead or not candidates:
         limit, where = min((1.0 / (2.0 * ctx.u0), "beta -> 0 (direct link only)"),
                            ((ctx.gbar2 + u1) / (2.0 * u1 * u2), "beta -> inf (relay branch only)"))
-        at = f"gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g})"
         if dead:
             raise ValueError(f"no finite optimal WSC1 weight at {at}: a link is dead, so the ABER only "
                              f"approaches its {where} limit {limit:.6g}; give a fixed beta")

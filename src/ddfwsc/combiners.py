@@ -74,9 +74,14 @@ SCHEMES: dict[SchemeId, Scheme] = {
 }
 
 
-def _sign(x):
-    """Sign with the zero-measure tie sent to +1."""
-    return np.where(np.asarray(x) >= 0, 1, -1)
+def _sign(x, out=None):
+    """Sign with the zero-measure tie sent to +1: int +/-1, or written into out (any numeric dtype)."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=int)
+    np.greater_equal(x, 0, out=out)
+    out *= 2
+    out -= 1
+    return out
 
 
 def beta_wsc2(gamma1, gamma_bar2: float):
@@ -93,20 +98,42 @@ def beta_wsc2(gamma1, gamma_bar2: float):
     return np.minimum(1.0, gamma1 / gamma_bar2)
 
 
-def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta) -> np.ndarray:
+def _decisions(positive: np.ndarray, out):
+    """+/-1 decisions from positive = (decision is +1), or positive itself when it was written into out."""
+    return np.where(positive, 1, -1) if out is None else positive
+
+
+def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta, out=None, work=None) -> np.ndarray:
     """Weighted-selection decisions for whole blocks; beta = 0 allowed.
 
     beta is one weight, or an (N, 1) array of per-block weights for
     (N, L) decision variables.  The relay branch is used only where
     beta*|xi2| beats |xi0|: ties go to the direct link, which carries no
-    error propagation.
+    error propagation.  Returns +/-1 decisions.  With ``out``, a boolean
+    array of xi0's shape, the decisions are written there as
+    ``decision == +1`` and out is returned; ``work``, a pair of float arrays
+    of xi0's shape, holds |xi0| and beta*|xi2| instead of fresh arrays.
     """
     if np.any(np.asarray(beta) < 0):
         raise ValueError(f"beta must be >= 0, got {np.min(beta)}")
-    use_direct = np.abs(xi0) >= beta * np.abs(xi2)
-    return _sign(np.where(use_direct, xi0, xi2))
+    mag0, mag2 = (None, None) if work is None else work
+    mag0 = np.abs(xi0, out=mag0)
+    mag2 = np.multiply(beta, np.abs(xi2, out=mag2), out=mag2)
+    use_direct = mag0 >= mag2
+    # Select the sign of the chosen branch: pos2, flipped where the direct
+    # branch is used and its sign differs.
+    pos2 = np.greater_equal(xi2, 0)
+    positive = np.greater_equal(xi0, 0, out=out)
+    positive ^= pos2
+    positive &= use_direct
+    positive ^= pos2
+    return _decisions(positive, out)
 
 
-def lar_bits(xi0: np.ndarray, xiL: np.ndarray) -> np.ndarray:
-    """LAR decisions for a whole block: the sign of the summed branches."""
-    return _sign(xi0 + xiL)
+def lar_bits(xi0: np.ndarray, xiL: np.ndarray, out=None, work=None) -> np.ndarray:
+    """LAR decisions for a whole block: the sign of the summed branches.
+
+    ``out`` and ``work`` (one float array of xi0's shape, for the sum) as
+    in ``wsc_bits``.
+    """
+    return _decisions(np.greater_equal(np.add(xi0, xiL, out=work), 0, out=out), out)

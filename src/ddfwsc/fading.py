@@ -19,9 +19,11 @@ blocks are scheduled across workers or grouped into chunks.  ``stream_keys``
 computes many blocks' keys at once with a vectorized transcription of
 numpy's SeedSequence hash, and ``sample_blocks`` draws a chunk of blocks
 from one reused generator reset to each block's key; both give exactly
-the numbers of ``derive_stream``.  ``sample_fading_block`` transcribes
-step 1 for one block and is the reference the batched draws are checked
-against.
+the numbers of ``derive_stream``.  ``sample_blocks`` can write into
+caller-owned arrays (``out``), so the simulator's chunk kernel draws every
+chunk into the same per-thread buffers instead of fresh ones.
+``sample_fading_block`` transcribes step 1 for one block and is the
+reference the batched draws are checked against.
 """
 
 from __future__ import annotations
@@ -128,11 +130,15 @@ def sample_fading_block(rng: np.random.Generator, sigma_sq) -> tuple[complex, co
     return tuple(gains)
 
 
-def _empty_draws(count: int, sigma_sq, block_len: int):
+def _live_links(sigma_sq) -> list[int]:
     if min(sigma_sq) < 0:
         raise ValueError(f"variance must be >= 0, got {min(sigma_sq)}")
-    live = [i for i, s in enumerate(sigma_sq) if s > 0]
-    return (live, np.empty((count, len(live), 2)), np.empty((count, block_len)),
+    return [i for i, s in enumerate(sigma_sq) if s > 0]
+
+
+def _empty_draws(count: int, block_len: int):
+    """Fresh (h, bit uniforms, noise normals) arrays for count blocks."""
+    return (np.empty((count, 3), dtype=complex), np.empty((count, block_len)),
             np.empty((count, 3, block_len + 1, 2)))
 
 
@@ -143,9 +149,9 @@ def _draw(rng: np.random.Generator, fading: np.ndarray, bits: np.ndarray, noise:
     rng.standard_normal(out=noise)
 
 
-def _gains(live, fading: np.ndarray, sigma_sq) -> np.ndarray:
-    """Scale the fading normals to gains, shape (count, 3); zero-variance links are 0."""
-    h = np.zeros((fading.shape[0], 3), dtype=complex)
+def _gains(live, fading: np.ndarray, sigma_sq, h: np.ndarray) -> np.ndarray:
+    """Scale the fading normals to gains in h, shape (count, 3); zero-variance links are 0."""
+    h[...] = 0
     scale = np.sqrt(np.asarray(sigma_sq, dtype=float)[live] / 2.0)
     h.real[:, live] = scale * fading[..., 0]
     h.imag[:, live] = scale * fading[..., 1]
@@ -154,27 +160,34 @@ def _gains(live, fading: np.ndarray, sigma_sq) -> np.ndarray:
 
 def sample_block(rng: np.random.Generator, sigma_sq, block_len: int):
     """Draw one block from rng where it stands: (h (1, 3), uniforms (1, L), noise normals (1, 3, L+1, 2))."""
-    live, fading, bits, noise = _empty_draws(1, sigma_sq, block_len)
+    live = _live_links(sigma_sq)
+    h, bits, noise = _empty_draws(1, block_len)
+    fading = np.empty((1, len(live), 2))
     _draw(rng, fading[0], bits[0], noise[0])
-    return _gains(live, fading, sigma_sq), bits, noise
+    return _gains(live, fading, sigma_sq, h), bits, noise
 
 
-def sample_blocks(seed: int, stream_ids, sigma_sq, block_len: int):
+def sample_blocks(seed: int, stream_ids, sigma_sq, block_len: int, out=None):
     """Draw blocks stream_ids of seed, each exactly as derive_stream(seed, b) would.
 
     One Philox generator is reset to each block's (key, counter 0) through
     its public state before that block's draws.  Returns the gains
     (count, 3), the bit uniforms (count, L) and the unscaled noise normals
-    (count, 3, L+1, 2).
+    (count, 3, L+1, 2); with ``out``, a tuple of three C-contiguous arrays
+    of those shapes and dtypes (complex, float, float), the draws are
+    written there and ``out`` is returned.
     """
     keys = stream_keys(seed, stream_ids)
-    live, fading, bits, noise = _empty_draws(len(keys), sigma_sq, block_len)
+    live = _live_links(sigma_sq)
+    h, bits, noise = out if out is not None else _empty_draws(len(keys), block_len)
+    fading = np.empty((len(keys), len(live), 2))
     rng = np.random.Generator(np.random.Philox(key=0))
     philox = rng.bit_generator
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
+    key = state["state"]["key"]
+    for block_key, f, b, n in zip(keys.tolist(), fading, bits, noise):
+        key[:] = block_key
         philox.state = state
-        _draw(rng, fading[i], bits[i], noise[i])
-    return _gains(live, fading, sigma_sq), bits, noise
+        _draw(rng, f, b, n)
+    return _gains(live, fading, sigma_sq, h), bits, noise

@@ -5,22 +5,36 @@ Every block is generated from its own (seed, block_index) stream (see
 regardless of how many workers are used.  The kernel, ``_chunk_errors``,
 works on a chunk of consecutive blocks at once: it hashes the chunk's
 Philox keys in numpy, draws each block from one reused generator reset to
-that block's key, runs the link for the whole chunk with
-``simulate_blocks`` and calls each scheme's combiner once, with a
-per-block weight array for WSC2.  A chunk is sized by work, not by block
-count (``_chunk_len``): as many blocks as fit in 4096 channel uses, but
-at least 64, so short blocks do not pay the kernel's fixed per-call cost
-every 64 blocks.  Blocks are simulated in rounds of one chunk per worker;
-workers only split each round, and early stopping is applied at block
-granularity, so the stop point is the same for every chunk length, round
-size and worker count.
+that block's key, runs the link for the whole chunk and calls each
+scheme's combiner once, with a per-block weight array for WSC2.  Errors
+are counted on boolean decisions (decision is +1) against the data bits
+(uniform >= 0.5).
+
+A chunk allocates nothing large: its draws, symbols, received signals,
+decision variables and decisions go into a ``_Workspace`` that each
+thread keeps from one chunk to the next (``threading.local``), for one
+chunk shape at a time.  At L = 256 it is about 2.9 MB; no returned array
+aliases it.  An in-process ``run_simulation`` releases its thread's
+workspace when it returns; a pool worker keeps its own until the pool
+shuts down.  Fresh temporaries every chunk cost more than the arithmetic
+at L = 256: the allocator returned them to the OS between chunks, so every
+chunk page-faulted them back in.  Every count is the same as with fresh
+arrays.
+
+A chunk is sized by work, not by block count (``_chunk_len``): as many
+blocks as fit in 4096 channel uses, but at least 64, so short blocks do
+not pay the kernel's fixed per-call cost every 64 blocks.  Blocks are
+simulated in rounds of one chunk per worker; workers only split each
+round, and early stopping is applied at block granularity, so the stop
+point is the same for every chunk length, round size and worker count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +42,8 @@ import numpy as np
 from . import analysis
 from .analysis import ClosedFormContext
 from .combiners import SCHEMES, SchemeId, lar_bits, wsc_bits
-from .fading import sample_blocks
-from .link import SystemParams, simulate_blocks
+from .fading import _empty_draws, sample_blocks
+from .link import SystemParams, _LinkBuffers, _simulate_into
 # Not called here any more; perfbench/tracing.py wraps them under this module's names.
 from .fading import derive_stream  # noqa: F401
 from .link import simulate_block  # noqa: F401
@@ -111,19 +125,47 @@ def _chunk_len(block_len: int) -> int:
     return max(_MIN_CHUNK, _CHUNK_USES // (block_len + 1))
 
 
+class _Workspace:
+    """Every block-sized array of one chunk shape (count blocks of block_len bits)."""
+
+    def __init__(self, count: int, block_len: int) -> None:
+        self.shape = (count, block_len)
+        self.draws = _empty_draws(count, block_len)
+        self.link = _LinkBuffers.empty(count, block_len)
+        self.work = (np.empty(self.shape), np.empty(self.shape))
+        self.truth = np.empty(self.shape, dtype=bool)
+        self.decision = np.empty(self.shape, dtype=bool)
+
+
+_local = threading.local()
+
+
+def _workspace(count: int, block_len: int) -> _Workspace:
+    """This thread's workspace, replaced when the chunk shape changes."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.shape != (count, block_len):
+        _local.workspace = None  # free the old one before allocating the new
+        ws = _local.workspace = _Workspace(count, block_len)
+    return ws
+
+
 def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
                   start: int, count: int) -> np.ndarray:
     """Per-block error counts for blocks [start, start+count), shape (count, n_schemes)."""
-    obs = simulate_blocks(params, *sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
-                                                 params.sigma_sq, params.block_len))
+    ws = _workspace(count, params.block_len)
+    h, uniforms, noise = sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
+                                       params.sigma_sq, params.block_len, out=ws.draws)
+    obs = _simulate_into(params, h, uniforms, noise, ws.link)
+    truth = np.greater_equal(uniforms, 0.5, out=ws.truth)
     out = np.empty((count, len(schemes)), dtype=np.int64)
     for j, scheme in enumerate(schemes):
         weight = SCHEMES[scheme].weight
         if weight is None:
-            bits = lar_bits(obs.xi0, obs.xiL)
+            decision = lar_bits(obs.xi0, obs.xiL, out=ws.decision, work=ws.work[0])
         else:
-            bits = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive[:, None]))
-        out[:, j] = np.count_nonzero(bits != obs.tx_bits, axis=1)
+            decision = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive[:, None]),
+                                out=ws.decision, work=ws.work)
+        out[:, j] = np.count_nonzero(np.not_equal(decision, truth, out=decision), axis=1)
     return out
 
 
@@ -136,7 +178,9 @@ def run_simulation(cfg: SimConfig, pool: Executor | None = None) -> list[BerEsti
     every scheme, so the stop point depends on neither the chunk length nor
     the worker count.
     Chunks run on ``pool`` when one is given; otherwise a run with
-    workers > 1 opens its own process pool for the run.
+    workers > 1 opens its own process pool for the run, and a run with
+    workers = 1 runs them in this thread and frees the thread's chunk
+    workspace before it returns.
     """
     schemes = tuple(cfg.schemes)
     args = (cfg.params, schemes, cfg.beta_wsc1, cfg.seed)
@@ -145,19 +189,22 @@ def run_simulation(cfg: SimConfig, pool: Executor | None = None) -> list[BerEsti
     step = chunk * cfg.workers
     totals = np.zeros(len(schemes), dtype=np.int64)
     own_pool = pool is None and cfg.workers > 1
-    with ProcessPoolExecutor(cfg.workers) if own_pool else nullcontext(pool) as pool:
-        for start in range(0, cfg.max_blocks, step):
-            stop = min(start + step, cfg.max_blocks)
-            errors = (_chunk_errors(*args, start, stop - start) if pool is None else
-                      np.concatenate([f.result() for f in [
-                          pool.submit(_chunk_errors, *args, s, min(chunk, stop - s))
-                          for s in range(start, stop, chunk)]]))
-            cum = totals + np.cumsum(errors, axis=0)
-            met = np.flatnonzero(np.all(cum >= target, axis=1))
-            used = int(met[0]) + 1 if met.size else stop - start
-            totals, blocks_used = cum[used - 1], start + used
-            if met.size:
-                break
+    try:
+        with ProcessPoolExecutor(cfg.workers) if own_pool else nullcontext(pool) as pool:
+            for start in range(0, cfg.max_blocks, step):
+                stop = min(start + step, cfg.max_blocks)
+                errors = (_chunk_errors(*args, start, stop - start) if pool is None else
+                          np.concatenate([f.result() for f in [
+                              pool.submit(_chunk_errors, *args, s, min(chunk, stop - s))
+                              for s in range(start, stop, chunk)]]))
+                cum = totals + np.cumsum(errors, axis=0)
+                met = np.flatnonzero(np.all(cum >= target, axis=1))
+                used = int(met[0]) + 1 if met.size else stop - start
+                totals, blocks_used = cum[used - 1], start + used
+                if met.size:
+                    break
+    finally:
+        _local.workspace = None  # in-process chunks used this thread's workspace
 
     bits = blocks_used * cfg.params.block_len
     results = []
@@ -205,7 +252,9 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
                         if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
             asym = None
             if symmetric and SchemeId.WSC2 in cfg.schemes:
-                asym = analysis.aber_asymptotic_wsc2(point.params.p0)
+                # Left empty where it overflows, as closed_form leaves undefined forms.
+                with suppress(ValueError):
+                    asym = analysis.aber_asymptotic_wsc2(point.params.p0)
             records.append(SweepRecord(axis_value=value, estimates=estimates, analytic=analytic,
                                        beta_wsc1=point.beta_wsc1, asymptotic=asym))
     return records

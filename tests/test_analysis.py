@@ -320,6 +320,12 @@ class TestAsymptotic:
         with pytest.raises(ValueError):
             aber_asymptotic_wsc2(0.0)
 
+    def test_overflow_is_value_error(self):
+        # p0**8 overflows float64 above about 385 dB.
+        assert aber_asymptotic_wsc2(10.0 ** 38) > 0
+        with pytest.raises(ValueError, match="overflows float64"):
+            aber_asymptotic_wsc2(10.0 ** 40)
+
 
 def _mp_aber_wsc1(beta, gbars):
     """The printed WSC1 expressions evaluated in mpmath at the working precision."""
@@ -419,6 +425,16 @@ class TestOptimizeBeta:
         assert "no finite optimal" not in str(info.value)
         limit = 1 / (2 * ctx.u0)
         assert aber_wsc1(1e-3, ctx) == pytest.approx(limit, rel=1e-6)
+
+    @pytest.mark.parametrize("db", [400.0, 3000.0])
+    def test_overflowing_polynomial_says_so_without_warning(self, db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"WSC1 ABER polynomial overflows float64 at gamma_bar = "
+                                                 r"\(1e\+\d+, .*give a fixed beta"):
+                optimize_beta(ClosedFormContext.from_db(db))
+            # 370 dB still has a finite optimum.
+            assert optimize_beta(ClosedFormContext.from_db(370.0))[0] > 0
 
     def test_never_worse_than_sc(self):
         for db in (0, 10, 20, 30):

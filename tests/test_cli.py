@@ -107,6 +107,14 @@ class TestAnalyze:
         assert proc.stdout == ""
         assert proc.stderr == "error: P0/N0 = 4000.0 dB gives a non-finite power P0\n"
 
+    def test_wsc1_optimum_overflow_is_usage_error(self):
+        proc = run_cli(["analyze", "--scheme", "wsc1", "--snr-db", "400"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: the WSC1 ABER polynomial overflows float64 at gamma_bar = "
+                               "(1e+40, 1e+40, 1e+40); give a fixed beta\n")
+        assert run_cli(["analyze", "--scheme", "wsc1", "--snr-db", "400", "--beta", "0.5"]).returncode == 0
+
     def test_wsc2_to_100db_warns_above_checked_range(self):
         proc = run_cli(["analyze", "--scheme", "wsc2", "--snr-db", "0:100:10"])
         assert proc.returncode == 0
@@ -217,6 +225,27 @@ class TestSweepCommands:
                 assert float(r[7]) > 0  # asymptotic column (symmetric variances)
             if r[1] == "lar":
                 assert r[6] == ""  # no closed form for the LAR baseline
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_matches_block_len_256_golden_output(self, capsys, workers):
+        # The default block length through the chunk kernel and the pool:
+        # early stops at 0-12 dB, the 512-block cap above.
+        rc = main(["sweep-snr", "--snr-db", "0:30:6", "--schemes", "sc,lar,wsc1,wsc2", "--min-errors", "300",
+                   "--blocks", "512", "--block-len", "256", "--workers", workers, "--seed", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out == (GOLDEN / "sweep_l256.csv").read_text()
+
+    def test_sweep_asymptote_empty_where_it_overflows(self):
+        proc = run_cli(["sweep-snr", "--snr-db", "400", "--blocks", "2", "--block-len", "4",
+                        "--min-errors", "0", "--schemes", "wsc2"])
+        assert proc.returncode == 0
+        rows = proc.stdout.strip().splitlines()
+        assert len(rows) == 2
+        row = rows[1].split(",")
+        assert row[:2] == ["400.0", "wsc2"]
+        assert float(row[6]) > 0  # the closed form (it warns on stderr so far above its range)
+        assert row[7] == ""
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_range_usage_error(self):
         proc = run_cli(["sweep-snr", "--snr-db", "5:10", "--blocks", "10"])

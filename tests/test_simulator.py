@@ -1,3 +1,8 @@
+import hashlib
+import itertools
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +89,19 @@ _FROZEN_CHUNKS = {
 }
 _ALL_SCHEMES = (SchemeId.SC, SchemeId.WSC1, SchemeId.WSC2, SchemeId.LAR)
 
+# 288 configurations: block lengths, variance triples (dead links included),
+# both SNR modes, three SNRs, and two scheme lists.  _GRID_SHA256 hashes the
+# _chunk_errors matrices (48 blocks each, as little-endian int64) of the
+# whole grid, captured from the kernel that allocated fresh arrays for
+# every chunk.
+_GRID = list(itertools.product(
+    (1, 4, 64, 256),
+    ((1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.5, 3.0, 1.0)),
+    ("exact", "estimated"),
+    (-5.0, 10.0, 37.0),
+    (_ALL_SCHEMES, (SchemeId.LAR, SchemeId.WSC2))))
+_GRID_SHA256 = "889d09430830b5d85d71619a0ff9d510b8488315e3ef2cbd1273bf957f3365dd"
+
 
 class TestStreamContract:
     @pytest.mark.parametrize("case", list(_FROZEN_CHUNKS))
@@ -96,6 +114,86 @@ class TestStreamContract:
         pieces = [simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, seed, s, min(37, start + count - s))
                   for s in range(start, start + count, 37)]
         assert np.array_equal(np.concatenate(pieces), frozen)
+
+
+    def test_chunk_errors_grid_hash(self):
+        digest = hashlib.sha256()
+        for i, (block_len, sigma_sq, mode, db, schemes) in enumerate(_GRID):
+            params = SystemParams(p0_over_n0_db=db, sigma_sq=sigma_sq, block_len=block_len, snr_mode=mode)
+            got = simulator._chunk_errors(params, schemes, 0.5, i, 7 * i, 48)
+            digest.update(got.astype("<i8").tobytes())
+        assert len(_GRID) == 288
+        assert digest.hexdigest() == _GRID_SHA256
+
+
+class TestChunkWorkspace:
+    """A chunk reuses its thread's buffers: little is allocated per chunk, and nothing outlives a run."""
+
+    @pytest.mark.parametrize("block_len, snr_mode, bound", [
+        (256, "exact", 1 << 20), (256, "estimated", 1 << 20), (4, "exact", 512 << 10)])
+    def test_steady_state_chunk_allocates_little(self, block_len, snr_mode, bound):
+        # Fresh arrays for every chunk peaked at 4.8 MiB (L = 256, 64 blocks)
+        # and 1.3 MiB (L = 4, 819 blocks).
+        params = SystemParams(p0_over_n0_db=10.0, block_len=block_len, snr_mode=snr_mode)
+        count = simulator._chunk_len(block_len)
+        tracemalloc.start()
+        try:
+            simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, 1, 0, count)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, 1, count, count)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            simulator._local.workspace = None
+        assert peak < bound
+
+    def test_in_process_run_frees_its_workspace(self):
+        def run(block_len):
+            params = SystemParams(p0_over_n0_db=10.0, block_len=block_len)
+            return run_simulation(SimConfig(params=params, schemes=_ALL_SCHEMES, max_blocks=200,
+                                            min_errors=0, seed=2))
+
+        # The first run's chunks have another shape, so a workspace it left
+        # behind would be replaced, not reused, by the measured run.
+        run(8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(256)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 << 10
+
+    def test_threads_keep_their_own_workspace(self):
+        # Two threads per case, more threads than cores.  The two cases have
+        # the same chunk shape (64 blocks of 16 bits), so buffers shared
+        # between threads would be overwritten mid-chunk.
+        cases = ("dead_relay", "all_zero") * 2
+        results = [[] for _ in cases]
+
+        def repeat(case, got):
+            params, seed, start, count, _ = _FROZEN_CHUNKS[case]
+            for _ in range(20):
+                got.append(simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, seed, start, count))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=repeat, args=args) for args in zip(cases, results)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for case, got in zip(cases, results):
+            _, _, _, count, text = _FROZEN_CHUNKS[case]
+            frozen = np.array(text.split(), dtype=np.int64).reshape(len(_ALL_SCHEMES), count).T
+            assert len(got) == 20
+            assert all(np.array_equal(g, frozen) for g in got)
 
 
 class TestWilsonInterval:
