@@ -10,8 +10,10 @@ exp(a - z) * (exp(z)*E1(z)).  WSC2 takes them in pairs of reduced arguments
 terms, and a - z <= 0 by construction, so the closed forms stay finite at
 any SNR.  Against a 60-digit evaluation of the printed expressions, float64
 aber_wsc2 is within 1e-6 relative for every gbar_i in [1e-3, 1e8] (1e-8 at
-symmetric SNRs to 80 dB).  Above 1e8 it warns: its E1 differences at tiny r
-lose digits (1.3e-7 at 100 dB, 1.2e-5 at 120 dB, 3.5e-2 at 150 dB).
+symmetric SNRs to 80 dB).  Above 1e8 its E1 differences at tiny r lose
+digits: it warns up to gbar_i = 1e12 (worst seen 2.7e-4 relative, over 120
+random unequal links with the largest gbar_i in [1e11, 1e12]) and raises
+ValueError above that (symmetric points: 1.6e-3 off at 140 dB, 8.3x at 180).
 """
 
 from __future__ import annotations
@@ -220,9 +222,7 @@ def exp_integral_e1(x: float) -> float:
     """E1(x) = integral_x^inf exp(-t)/t dt for x > 0."""
     if not x > 0:
         raise ValueError(f"exp_integral_e1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_continued_fraction(x)
+    return math.exp(-x) * exp_integral_e1_scaled(x)
 
 
 def exp_integral_e1_scaled(x: float) -> float:
@@ -336,10 +336,14 @@ def aber_wsc2(ctx: ClosedFormContext) -> float:
         raise ValueError("gamma_bar_1 must be positive for the wsc2 closed form")
     if ctx.gbar2 <= 0:
         raise ValueError("gamma_bar_2 must be positive for the wsc2 closed form")
-    if max(ctx.gbar0, ctx.gbar1, ctx.gbar2) > 1e8:  # the top of the range checked to 1e-6 relative
-        warnings.warn(f"aber_wsc2 at gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g}) is outside "
-                      "its checked range (all <= 1e8) and may lose digits: 1.3e-7 relative at 100 dB, "
-                      "3.5e-2 at 150 dB", RuntimeWarning, stacklevel=2)
+    top = max(ctx.gbar0, ctx.gbar1, ctx.gbar2)
+    at = f"gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g})"
+    if top > 1e12:
+        raise ValueError(f"aber_wsc2 at {at} is out of range (all <= 1e12): above it float64 loses the "
+                         "result (1.6e-3 relative error at 140 dB, 8.3x at 180 dB)")
+    if top > 1e8:  # the top of the range checked to 1e-6 relative
+        warnings.warn(f"aber_wsc2 at {at} is outside its checked range (all <= 1e8) and may lose digits: "
+                      "up to 2.7e-4 relative", RuntimeWarning, stacklevel=2)
     return _wsc2_l1(ctx) + _wsc2_l2(ctx) + _wsc2_k1(ctx) + _wsc2_k2(ctx)
 
 

@@ -2,14 +2,15 @@
 
 Noise power is normalized to N0 = 1 everywhere; the SNR axis P0/N0 (dB)
 maps to the transmit power P0 = 10**(dB/10).  Each block carries one
-reference symbol s(0) = 1 plus L data symbols.
+reference symbol s(0) = 1 plus L data symbols.  A bit is a boolean, True
+for +1, from the draws to the error count; only symbols are float +/-1.
 
 ``simulate_blocks`` runs a batch of blocks from their draws through
 ``_simulate_into``, the one link pass.  That pass writes every
-block-sized intermediate (symbols, received signals, decision variables)
-into a ``_LinkBuffers`` set: fresh for a ``simulate_blocks`` call, or the
-set the simulator's chunk kernel keeps per thread, so that a chunk
-allocates nothing large.  ``diff_encode``, ``decision_variables``,
+block-sized intermediate (bits, symbols, received signals, decision
+variables) into a ``_LinkBuffers`` set: fresh for a ``simulate_blocks``
+call, or the set the simulator's chunk kernel keeps per thread, so that a
+chunk allocates nothing large.  ``diff_encode``, ``decision_variables``,
 ``relay_detect`` and ``estimate_relay_snr`` take optional destinations for
 that purpose; without them they return fresh arrays.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import _db_to_power
-from .combiners import _sign, beta_wsc2
+from .combiners import beta_wsc2
 from .fading import sample_block
 # Not called here any more; perfbench/tracing.py wraps it under this module's name.
 from .fading import sample_fading_block  # noqa: F401
@@ -76,11 +77,11 @@ class BlockObservables:
     From simulate_block the arrays have length L and the rest are scalars;
     from simulate_blocks every field gains a leading block axis.  xi0, xi2
     and xiL are the real parts of complex product arrays (strided views).
-    tx_bits and relay_bits are float +/-1.  gamma1 is the S-R SNR as
-    snr_mode delivers it to the destination: P0|h1|^2 ("exact") or the
-    received-energy estimate ("estimated").  beta_adaptive is
-    min(1, gamma1/gbar2), the LAR relay power factor and the WSC2 weight of
-    the block.
+    tx_bits (the data) and relay_bits are boolean, True for +1.  gamma1 is
+    the S-R SNR as snr_mode delivers it to the destination: P0|h1|^2
+    ("exact") or the received-energy estimate ("estimated").  beta_adaptive
+    is min(1, gamma1/gbar2), the LAR relay power factor and the WSC2 weight
+    of the block.
     """
 
     xi0: np.ndarray
@@ -96,32 +97,38 @@ class BlockObservables:
 class _LinkBuffers:
     """The block-sized arrays one link pass over N blocks of L bits writes."""
 
-    tx: np.ndarray  # (N, L) float: the +/-1 data bits
-    relay: np.ndarray  # (N, L) float: the relay's +/-1 decisions
+    tx: np.ndarray  # (N, L) bool: the data bits
+    relay: np.ndarray  # (N, L) bool: the relay's decisions
+    signs: np.ndarray  # (N, L) float: the +/-1 bits diff_encode multiplies up
     symbols: np.ndarray  # (N, L+1) float: the source's, then the relay's symbols
     y: np.ndarray  # (2, N, L+1) complex: received signals, each reused once its xi is taken
     xi: np.ndarray  # (3, N, L) complex: products y(k) y*(k-1) of the direct, relay and LAR branches
 
     @classmethod
     def empty(cls, count: int, block_len: int) -> "_LinkBuffers":
-        return cls(tx=np.empty((count, block_len)), relay=np.empty((count, block_len)),
-                   symbols=np.empty((count, block_len + 1)),
+        return cls(tx=np.empty((count, block_len), dtype=bool), relay=np.empty((count, block_len), dtype=bool),
+                   signs=np.empty((count, block_len)), symbols=np.empty((count, block_len + 1)),
                    y=np.empty((2, count, block_len + 1), dtype=complex),
                    xi=np.empty((3, count, block_len), dtype=complex))
 
 
-def diff_encode(bits: np.ndarray, out=None) -> np.ndarray:
-    """Differentially encode +/-1 bits along the last axis; the s(0)=1 reference is prepended.
+def diff_encode(bits: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Differentially encode boolean bits (True is +1) along the last axis; s(0)=1 is prepended.
 
-    ``out``, optional, receives the symbols (one more along the last axis).
+    Returns float +/-1 symbols, written into ``out`` when given; ``work``,
+    a float array of bits' shape, holds the bits as +/-1.
     """
     bits = np.asarray(bits)
+    if bits.dtype != bool:
+        raise ValueError(f"bits must be boolean (True is +1), got dtype {bits.dtype}")
     if bits.size == 0:
         raise ValueError("bits must be nonempty")
     if out is None:
-        out = np.empty(bits.shape[:-1] + (bits.shape[-1] + 1,), dtype=bits.dtype)
-    out[..., 0] = 1
-    np.cumprod(bits, axis=-1, out=out[..., 1:])
+        out = np.empty(bits.shape[:-1] + (bits.shape[-1] + 1,))
+    signs = np.multiply(bits, 2.0, out=work)
+    signs -= 1.0
+    out[..., 0] = 1.0
+    np.cumprod(signs, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -138,13 +145,13 @@ def decision_variables(y: np.ndarray, out=None) -> np.ndarray:
 def relay_detect(y1: np.ndarray, out=None, work=None) -> np.ndarray:
     """Hard differential decisions at the relay from L+1 received symbols (last axis).
 
-    Returns int +/-1; with ``out`` (any numeric dtype) the decisions are
-    written there, and ``work`` is passed to decision_variables as its ``out``.
+    Returns booleans, True for +1 and for the zero-measure tie, written into
+    ``out`` when given; ``work`` is decision_variables' ``out``.
     """
     y1 = np.asarray(y1)
     if y1.ndim == 0 or y1.shape[-1] < 2:
         raise ValueError("need at least 2 received symbols")
-    return _sign(decision_variables(y1, out=work), out=out)
+    return np.greater_equal(decision_variables(y1, out=work), 0, out=out)
 
 
 def estimate_relay_snr(y1: np.ndarray, block_len: int, work=None):
@@ -202,9 +209,8 @@ def _simulate_into(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray
     sqrt_p0 = np.sqrt(p0)
     h0, h1, h2 = h.T
 
-    # u - 0.5 >= 0 exactly when u >= 0.5: the -1 bits are the uniforms below 0.5.
-    tx_bits = _sign(np.subtract(bit_uniforms, 0.5, out=buf.tx), out=buf.tx)
-    s = diff_encode(tx_bits, out=buf.symbols)
+    tx_bits = np.greater_equal(bit_uniforms, 0.5, out=buf.tx)
+    s = diff_encode(tx_bits, out=buf.symbols, work=buf.signs)
 
     noise_normals *= np.sqrt(0.5)
     noise = noise_normals.view(complex)[..., 0]
@@ -218,7 +224,7 @@ def _simulate_into(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray
         gamma1 = p0 * (h1.real ** 2 + h1.imag ** 2)
     else:
         gamma1 = estimate_relay_snr(y1, L, work=buf.y[0])
-    s_hat = diff_encode(relay_bits, out=buf.symbols)
+    s_hat = diff_encode(relay_bits, out=buf.symbols, work=buf.signs)
 
     xi2 = decision_variables(_received(sqrt_p0 * h2, s_hat, n2, buf.y[0]), out=buf.xi[1])
 

@@ -7,8 +7,8 @@ works on a chunk of consecutive blocks at once: it hashes the chunk's
 Philox keys in numpy, draws each block from one reused generator reset to
 that block's key, runs the link for the whole chunk and calls each
 scheme's combiner once, with a per-block weight array for WSC2.  Errors
-are counted on boolean decisions (decision is +1) against the data bits
-(uniform >= 0.5).
+are counted on boolean decisions (decision is +1) against the link's
+boolean data bits (uniform >= 0.5).
 
 A chunk allocates nothing large: its draws, symbols, received signals,
 decision variables and decisions go into a ``_Workspace`` that each
@@ -133,7 +133,6 @@ class _Workspace:
         self.draws = _empty_draws(count, block_len)
         self.link = _LinkBuffers.empty(count, block_len)
         self.work = (np.empty(self.shape), np.empty(self.shape))
-        self.truth = np.empty(self.shape, dtype=bool)
         self.decision = np.empty(self.shape, dtype=bool)
 
 
@@ -156,7 +155,6 @@ def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
     h, uniforms, noise = sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
                                        params.sigma_sq, params.block_len, out=ws.draws)
     obs = _simulate_into(params, h, uniforms, noise, ws.link)
-    truth = np.greater_equal(uniforms, 0.5, out=ws.truth)
     out = np.empty((count, len(schemes)), dtype=np.int64)
     for j, scheme in enumerate(schemes):
         weight = SCHEMES[scheme].weight
@@ -165,7 +163,7 @@ def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
         else:
             decision = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive[:, None]),
                                 out=ws.decision, work=ws.work)
-        out[:, j] = np.count_nonzero(np.not_equal(decision, truth, out=decision), axis=1)
+        out[:, j] = np.count_nonzero(np.not_equal(decision, obs.tx_bits, out=decision), axis=1)
     return out
 
 

@@ -304,6 +304,18 @@ class TestAberWsc2:
             warnings.simplefilter("error")
             aber_wsc2(ClosedFormContext.from_db(80.0))
 
+    @pytest.mark.parametrize("db", [130.0, 200.0, 300.0])
+    def test_raises_above_limit(self, db):
+        # Above gamma_bar 1e12 float64 loses the result (8.3x off at 180 dB), so no number is returned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an error, not a warning and a wrong number
+            with pytest.raises(ValueError, match="out of range"):
+                aber_wsc2(ClosedFormContext.from_db(db))
+        with pytest.raises(ValueError, match="out of range"):
+            aber_wsc2(ClosedFormContext(1.0, 1.0, 1.1e12))
+        with pytest.warns(RuntimeWarning, match="outside its checked range"):
+            aber_wsc2(ClosedFormContext(1.0, 1.0, 1e12))
+
 
 class TestAsymptotic:
     def test_leading_term(self):

@@ -125,6 +125,12 @@ class TestAnalyze:
         assert proc.stderr.count("RuntimeWarning: aber_wsc2 at gamma_bar") == 2
         assert "(1e+08, 1e+08, 1e+08)" not in proc.stderr
 
+    def test_wsc2_above_limit_is_usage_error(self):
+        proc = run_cli(["analyze", "--scheme", "wsc2", "--snr-db", "130"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: aber_wsc2 at gamma_bar = (1e+13, 1e+13, 1e+13) is out of range")
+
 
 class TestSimulate:
     def test_wsc2_beats_sc(self, capsys):
@@ -243,7 +249,7 @@ class TestSweepCommands:
         assert len(rows) == 2
         row = rows[1].split(",")
         assert row[:2] == ["400.0", "wsc2"]
-        assert float(row[6]) > 0  # the closed form (it warns on stderr so far above its range)
+        assert row[6] == ""  # the closed form raises above gamma_bar 1e12
         assert row[7] == ""
         assert "Traceback" not in proc.stderr
 

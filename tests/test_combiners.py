@@ -12,25 +12,25 @@ finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_va
 
 def wsc(xi0, xi2, beta):
     """One weighted-selection decision through the block rule."""
-    return int(wsc_bits(np.array([xi0]), np.array([xi2]), beta)[0])
+    return bool(wsc_bits(np.array([xi0]), np.array([xi2]), beta)[0])
 
 
 class TestCombineWsc:
     def test_relay_selected(self):
         # beta*|xi2| = 1.5 beats |xi0| = 1, so the relay's sign decides.
-        assert wsc(1.0, -3.0, 0.5) == -1
+        assert wsc(1.0, -3.0, 0.5) is False
 
     def test_beta_one_is_sc(self):
         assert SCHEMES[SchemeId.SC].weight(0.3, 0.7) == 1.0
-        assert wsc(-2.0, 1.0, 1.0) == -1
-        assert wsc(1.0, -2.0, 1.0) == -1
+        assert wsc(-2.0, 1.0, 1.0) is False
+        assert wsc(1.0, -2.0, 1.0) is False
 
     def test_small_beta_prefers_direct(self):
-        assert wsc(1.0, -5.0, 1e-9) == 1
+        assert wsc(1.0, -5.0, 1e-9) is True
 
     def test_tie_goes_to_direct(self):
-        assert wsc(2.0, -2.0, 1.0) == 1
-        assert wsc(-1.0, 4.0, 0.25) == -1
+        assert wsc(2.0, -2.0, 1.0) is True
+        assert wsc(-1.0, 4.0, 0.25) is False
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
@@ -49,7 +49,7 @@ class TestCombineWsc:
     def test_sc_equals_wsc_at_unit_weight(self, xi0, xi2):
         # SC picks the larger-magnitude branch, the direct one on a tie.
         expected = xi0 if abs(xi0) >= abs(xi2) else xi2
-        assert wsc(xi0, xi2, 1.0) == (1 if expected >= 0 else -1)
+        assert wsc(xi0, xi2, 1.0) is (expected >= 0)
 
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=16),
            st.floats(min_value=0.0, max_value=10), st.integers(min_value=0, max_value=8))
@@ -103,7 +103,7 @@ class TestLar:
         assert simulate_block(dead, derive_stream(5, 2)).beta_adaptive == 0.0
 
     def test_combine(self):
-        assert lar_bits(np.array([1.0, 0.2, -0.5]), np.array([-0.5, -0.5, 0.5])).tolist() == [1, -1, 1]
+        assert lar_bits(np.array([1.0, 0.2, -0.5]), np.array([-0.5, -0.5, 0.5])).tolist() == [True, False, True]
 
 
 class TestVectorized:
@@ -111,7 +111,7 @@ class TestVectorized:
         rng = np.random.default_rng(3)
         xi0 = rng.normal(size=100)
         xi2 = rng.normal(size=100)
-        assert np.array_equal(wsc_bits(xi0, xi2, 0.0), np.where(xi0 >= 0, 1, -1))
+        assert np.array_equal(wsc_bits(xi0, xi2, 0.0), xi0 >= 0)
 
 
 class TestSchemeTable:

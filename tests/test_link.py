@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddfwsc.analysis import ClosedFormContext, cdf_xi0
+from ddfwsc.combiners import lar_bits, wsc_bits
 from ddfwsc.fading import derive_stream, sample_block, sample_blocks
 from ddfwsc.link import (
     SystemParams,
@@ -18,25 +19,26 @@ from ddfwsc.link import (
 
 class TestDiffEncode:
     def test_direct_recursion(self):
-        out = diff_encode(np.array([1, -1, -1]))
+        out = diff_encode(np.array([True, False, False]))
         assert out.tolist() == [1, 1, -1, 1]
         # One block per row.
-        assert diff_encode(np.array([[1, -1, -1], [-1, 1, -1]])).tolist() == [[1, 1, -1, 1], [1, -1, -1, 1]]
+        assert diff_encode(np.array([[True, False, False], [False, True, False]])).tolist() == [
+            [1, 1, -1, 1], [1, -1, -1, 1]]
 
     def test_all_ones_identity(self):
-        out = diff_encode(np.ones(5, dtype=int))
+        out = diff_encode(np.ones(5, dtype=bool))
         assert out.tolist() == [1] * 6
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        bits = np.where(rng.random(100) > 0.5, 1, -1)
+        bits = rng.random(100) > 0.5
         s = diff_encode(bits)
         decoded = relay_detect(s.astype(complex))
         assert np.array_equal(decoded, bits)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            diff_encode(np.array([]))
+            diff_encode(np.array([], dtype=bool))
 
 
 class TestDecisionVariable:
@@ -54,8 +56,8 @@ class TestDecisionVariable:
 
 class TestRelayDetect:
     def test_noiseless(self):
-        s = diff_encode(np.array([-1, 1])).astype(complex)
-        assert relay_detect(s).tolist() == [-1, 1]
+        s = diff_encode(np.array([False, True])).astype(complex)
+        assert relay_detect(s).tolist() == [False, True]
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
@@ -68,13 +70,36 @@ class TestRelayDetect:
         rng = np.random.default_rng(123)
         L, blocks = 16, 62_500
         h = np.sqrt(0.5) * (rng.standard_normal((blocks, 1)) + 1j * rng.standard_normal((blocks, 1)))
-        bits = np.where(rng.random((blocks, L)) > 0.5, 1, -1)
-        s = np.concatenate([np.ones((blocks, 1)), np.cumprod(bits, axis=1)], axis=1)
+        bits = rng.random((blocks, L)) > 0.5
+        s = diff_encode(bits)
         n = np.sqrt(0.5) * (rng.standard_normal((blocks, L + 1)) + 1j * rng.standard_normal((blocks, L + 1)))
         y = np.sqrt(gbar1) * h * s + n
-        dec = np.where((y[:, 1:] * np.conj(y[:, :-1])).real >= 0, 1, -1)
-        ber = np.mean(dec != bits)
+        ber = np.mean(relay_detect(y) != bits)
         assert ber == pytest.approx(1 / (2 * (1 + gbar1)), abs=0.002)
+
+
+class TestBitType:
+    def test_same_booleans_with_and_without_out(self):
+        # Every decision helper returns one type, True for +1, whether or not it gets a destination.
+        rng = np.random.default_rng(9)
+        y = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+        xi0, xi2 = rng.normal(size=(2, 4, 8))
+        beta = rng.uniform(size=(4, 1))
+        calls = [(relay_detect, (y,), {"work": np.empty((4, 8), dtype=complex)}),
+                 (wsc_bits, (xi0, xi2, beta), {"work": (np.empty((4, 8)), np.empty((4, 8)))}),
+                 (lar_bits, (xi0, xi2), {"work": np.empty((4, 8))})]
+        for fn, args, work in calls:
+            fresh = fn(*args)
+            out = np.empty((4, 8), dtype=bool)
+            assert fresh.dtype == bool
+            assert fn(*args, out=out, **work) is out
+            assert np.array_equal(out, fresh)
+
+    def test_diff_encode_rejects_non_boolean_bits(self):
+        # A +/-1 integer input would otherwise encode -1 as True.
+        for bits in (np.array([1, -1, -1]), np.array([1.0, -1.0]), np.array([0, 1])):
+            with pytest.raises(ValueError, match="boolean"):
+                diff_encode(bits)
 
 
 class TestEstimateRelaySnr:
@@ -131,7 +156,7 @@ class TestSimulateBlock:
         params = SystemParams(p0_over_n0_db=80.0)
         obs = simulate_block(params, derive_stream(2, 0))
         assert np.array_equal(obs.relay_bits, obs.tx_bits)
-        assert np.array_equal(np.sign(obs.xi0), obs.tx_bits)
+        assert np.array_equal(obs.xi0 > 0, obs.tx_bits)
 
     def test_high_relay_snr_forwards_faithfully(self):
         params = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 10 ** 5, 1.0))
@@ -164,7 +189,7 @@ class TestSimulateBlock:
         # Blocks 0..39999 of seed 42, the same blocks simulate_block would
         # give one by one, drawn and simulated all at once.
         obs = simulate_blocks(params, *sample_blocks(42, np.arange(40_000), params.sigma_sq, 4))
-        x = np.sort((obs.xi0 * obs.tx_bits).ravel())
+        x = np.sort(np.where(obs.tx_bits, obs.xi0, -obs.xi0).ravel())
         ctx = ClosedFormContext(5.0, 5.0, 5.0)
         emp = np.arange(1, x.size + 1) / x.size
         sup = np.max(np.abs(emp - cdf_xi0(x, ctx)))
