@@ -19,6 +19,8 @@ ValueError above that (symmetric points: 1.6e-3 off at 140 dB, 8.3x at 180).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -330,6 +332,21 @@ def _wsc2_k2(ctx: ClosedFormContext) -> float:
     return num / (16.0 * u0 ** 2 * u1 * w * u2 ** 2)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel that makes its caller's warning name the first frame outside this package.
+
+    So a warning raised through the scheme table or a sweep points at the
+    user's call.  (warnings.warn's skip_file_prefixes needs Python 3.12.)
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def aber_wsc2(ctx: ClosedFormContext) -> float:
     """Closed-form average BER of WSC with the adaptive weight min(1, gamma1/gbar2)."""
     if ctx.gbar1 <= 0:
@@ -343,7 +360,7 @@ def aber_wsc2(ctx: ClosedFormContext) -> float:
                          "result (1.6e-3 relative error at 140 dB, 8.3x at 180 dB)")
     if top > 1e8:  # the top of the range checked to 1e-6 relative
         warnings.warn(f"aber_wsc2 at {at} is outside its checked range (all <= 1e8) and may lose digits: "
-                      "up to 2.7e-4 relative", RuntimeWarning, stacklevel=2)
+                      "up to 2.7e-4 relative", RuntimeWarning, stacklevel=_outside_stacklevel())
     return _wsc2_l1(ctx) + _wsc2_l2(ctx) + _wsc2_k1(ctx) + _wsc2_k2(ctx)
 
 

@@ -23,18 +23,29 @@ arrays.
 
 A chunk is sized by work, not by block count (``_chunk_len``): as many
 blocks as fit in 4096 channel uses, but at least 64, so short blocks do
-not pay the kernel's fixed per-call cost every 64 blocks.  Blocks are
-simulated in rounds of one chunk per worker; workers only split each
-round, and early stopping is applied at block granularity, so the stop
-point is the same for every chunk length, round size and worker count.
+not pay the kernel's fixed per-call cost every 64 blocks.
+
+One dispatch (``_dispatch``) runs a single run and every point of a sweep
+through one queue of chunks.  Each run folds its chunks' per-block counts
+in block order and stops at the first block that meets min_errors, so the
+stop point is the same for every chunk length and worker count.  With
+workers = 1 the queue holds one chunk, computed in this thread.  With more,
+one process pool keeps workers + 1 chunks in flight, and there is no
+barrier between rounds: a chunk that some open run certainly needs (one
+with no chunk in flight) goes out first, so the points of a sweep run side
+by side, and only then a speculative next chunk of the lowest open run,
+whose counts are dropped if the run stops before it.  Results are
+collected in submission order, so what is submitted depends on the counts
+alone.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext, suppress
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -167,61 +178,122 @@ def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
     return out
 
 
-def run_simulation(cfg: SimConfig, pool: Executor | None = None) -> list[BerEstimate]:
+class _Run:
+    """One point's early stop: its chunks' per-block counts, folded in block order."""
+
+    def __init__(self, cfg: SimConfig) -> None:
+        self.cfg = cfg
+        self.args = (cfg.params, tuple(cfg.schemes), cfg.beta_wsc1, cfg.seed)
+        self.chunk = _chunk_len(cfg.params.block_len)
+        self.target = cfg.min_errors or math.inf  # min_errors = 0 runs to max_blocks
+        self.totals = np.zeros(len(cfg.schemes), dtype=np.int64)
+        self.blocks_used = 0  # blocks folded
+        self.submitted = 0  # blocks sent out
+        self.in_flight = 0  # chunks sent out and not yet collected
+        self.stopped = False  # min_errors met
+
+    def fold(self, errors: np.ndarray) -> None:
+        """Add the next chunk's counts up to the first block that meets min_errors for every scheme."""
+        cum = self.totals + np.cumsum(errors, axis=0)
+        met = np.flatnonzero(np.all(cum >= self.target, axis=1))
+        used = int(met[0]) + 1 if met.size else len(errors)
+        self.totals = cum[used - 1]
+        self.blocks_used += used
+        self.stopped = met.size > 0
+
+    def estimates(self) -> list[BerEstimate]:
+        bits = self.blocks_used * self.cfg.params.block_len
+        results = []
+        for scheme, errs in zip(self.cfg.schemes, self.totals.tolist()):
+            lo, hi = wilson_interval(errs, bits)
+            results.append(BerEstimate(scheme=scheme, bit_errors=errs, bits=bits,
+                                       ber=errs / bits, ci95_low=lo, ci95_high=hi))
+        return results
+
+
+class _InThread:
+    """The one-worker stand-in for the pool: submit() runs the chunk in this thread.
+
+    On exit it frees the thread's chunk workspace.
+    """
+
+    def __enter__(self) -> _InThread:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _local.workspace = None
+
+    def submit(self, fn, *args):
+        self._out = fn(*args)
+        return self
+
+    def result(self):
+        return self._out
+
+
+def _dispatch(runs: list[_Run], workers: int) -> None:
+    """Run every run to its stop through one queue of chunks.
+
+    With workers = 1 the queue holds one chunk, computed in this thread;
+    otherwise one process pool holds workers + 1 chunks in flight, one more
+    than the workers, so none of them waits on the parent's fold.  The next
+    chunk goes to the lowest open run with no chunk in flight, which
+    certainly needs it.  Only when every open run has one does the lowest
+    open run get another, speculative one.  Speculative chunks come last
+    because a run drops the counts of every chunk past its stop.  Results
+    are collected in submission order, so what is submitted depends on the
+    counts alone, never on timing.
+    """
+    queue: deque[tuple[_Run, object]] = deque()
+    depth = workers + 1 if workers > 1 else 1
+    with ProcessPoolExecutor(workers) if workers > 1 else _InThread() as pool:
+        while True:
+            while len(queue) < depth:
+                open_runs = [r for r in runs if not r.stopped and r.submitted < r.cfg.max_blocks]
+                if not open_runs:
+                    break
+                run = next((r for r in open_runs if not r.in_flight), open_runs[0])
+                count = min(run.chunk, run.cfg.max_blocks - run.submitted)
+                queue.append((run, pool.submit(_chunk_errors, *run.args, run.submitted, count)))
+                run.submitted += count
+                run.in_flight += 1
+            if not queue:
+                return
+            run, future = queue.popleft()
+            errors = future.result()
+            run.in_flight -= 1
+            if not run.stopped:
+                run.fold(errors)
+
+
+def run_simulation(cfg: SimConfig) -> list[BerEstimate]:
     """Simulate until every scheme has min_errors errors or max_blocks is hit.
 
-    All schemes are evaluated on the same block realizations.  Blocks run
-    in rounds of one chunk (``_chunk_len`` blocks) per worker, and the run
+    All schemes are evaluated on the same block realizations.  The run
     stops at the first block whose cumulative counts meet min_errors for
     every scheme, so the stop point depends on neither the chunk length nor
-    the worker count.
-    Chunks run on ``pool`` when one is given; otherwise a run with
-    workers > 1 opens its own process pool for the run, and a run with
-    workers = 1 runs them in this thread and frees the thread's chunk
-    workspace before it returns.
+    the worker count.  With workers = 1 the chunks run one at a time in
+    this thread, which frees its chunk workspace before returning.  With
+    workers > 1 a process pool opened for this run keeps workers + 1 chunks
+    in flight (``_dispatch``); at most that many chunks past the stop are
+    simulated and dropped.
     """
-    schemes = tuple(cfg.schemes)
-    args = (cfg.params, schemes, cfg.beta_wsc1, cfg.seed)
-    target = cfg.min_errors or math.inf  # min_errors = 0 runs to max_blocks
-    chunk = _chunk_len(cfg.params.block_len)
-    step = chunk * cfg.workers
-    totals = np.zeros(len(schemes), dtype=np.int64)
-    own_pool = pool is None and cfg.workers > 1
-    try:
-        with ProcessPoolExecutor(cfg.workers) if own_pool else nullcontext(pool) as pool:
-            for start in range(0, cfg.max_blocks, step):
-                stop = min(start + step, cfg.max_blocks)
-                errors = (_chunk_errors(*args, start, stop - start) if pool is None else
-                          np.concatenate([f.result() for f in [
-                              pool.submit(_chunk_errors, *args, s, min(chunk, stop - s))
-                              for s in range(start, stop, chunk)]]))
-                cum = totals + np.cumsum(errors, axis=0)
-                met = np.flatnonzero(np.all(cum >= target, axis=1))
-                used = int(met[0]) + 1 if met.size else stop - start
-                totals, blocks_used = cum[used - 1], start + used
-                if met.size:
-                    break
-    finally:
-        _local.workspace = None  # in-process chunks used this thread's workspace
-
-    bits = blocks_used * cfg.params.block_len
-    results = []
-    for j, scheme in enumerate(schemes):
-        errs = int(totals[j])
-        lo, hi = wilson_interval(errs, bits)
-        results.append(BerEstimate(scheme=scheme, bit_errors=errs, bits=bits,
-                                   ber=errs / bits, ci95_low=lo, ci95_high=hi))
-    return results
+    run = _Run(cfg)
+    _dispatch([run], cfg.workers)
+    return run.estimates()
 
 
 def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> list[SweepRecord]:
-    """One run_simulation per axis value (snr_db or beta), with analytic columns.
+    """One simulated point per axis value (snr_db or beta), with analytic columns.
 
+    Each point's estimates are those run_simulation gives for its config.
     Seeds are offset per axis index so points are independent yet each
     point stays individually reproducible.  With optimize_wsc1 on the
     snr_db axis, WSC1 uses each point's optimize_beta weight instead of
-    cfg.beta_wsc1.  Every point is validated before any is simulated, and
-    with workers > 1 the whole sweep shares one process pool.
+    cfg.beta_wsc1.  Every point is validated before any is simulated.  All
+    points go to one ``_dispatch`` at once, so with workers > 1 they share
+    one process pool and run side by side: a point with no chunk in flight
+    gets the next one before any point gets a speculative second.
     """
     values = list(values)
     if not values:
@@ -240,19 +312,20 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
     if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
         points = [replace(p, beta_wsc1=analysis.optimize_beta(ctx)[0]) for p, ctx in zip(points, contexts)]
 
+    points = [replace(p, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx) for idx, p in enumerate(points)]
+    runs = [_Run(p) for p in points]
+    _dispatch(runs, cfg.workers)
+
     records = []
     symmetric = len(set(cfg.params.sigma_sq)) == 1 and cfg.params.sigma_sq[0] == 1.0
-    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
-        for idx, (value, point, ctx) in enumerate(zip(values, points, contexts)):
-            point = replace(point, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx)
-            estimates = tuple(run_simulation(point, pool=pool))
-            analytic = {s: ber for s in cfg.schemes
-                        if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
-            asym = None
-            if symmetric and SchemeId.WSC2 in cfg.schemes:
-                # Left empty where it overflows, as closed_form leaves undefined forms.
-                with suppress(ValueError):
-                    asym = analysis.aber_asymptotic_wsc2(point.params.p0)
-            records.append(SweepRecord(axis_value=value, estimates=estimates, analytic=analytic,
-                                       beta_wsc1=point.beta_wsc1, asymptotic=asym))
+    for value, point, ctx, run in zip(values, points, contexts, runs):
+        analytic = {s: ber for s in cfg.schemes
+                    if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
+        asym = None
+        if symmetric and SchemeId.WSC2 in cfg.schemes:
+            # Left empty where it overflows, as closed_form leaves undefined forms.
+            with suppress(ValueError):
+                asym = analysis.aber_asymptotic_wsc2(point.params.p0)
+        records.append(SweepRecord(axis_value=value, estimates=tuple(run.estimates()), analytic=analytic,
+                                   beta_wsc1=point.beta_wsc1, asymptotic=asym))
     return records

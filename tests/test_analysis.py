@@ -24,6 +24,9 @@ from ddfwsc.analysis import (
     pdf_xi0,
     pdf_xiw,
 )
+from ddfwsc.combiners import SCHEMES, SchemeId
+from ddfwsc.link import SystemParams
+from ddfwsc.simulator import SimConfig, sweep
 from ddfwsc.validation import aber_wsc1_by_integration, aber_wsc2_by_integration
 
 
@@ -315,6 +318,19 @@ class TestAberWsc2:
             aber_wsc2(ClosedFormContext(1.0, 1.0, 1.1e12))
         with pytest.warns(RuntimeWarning, match="outside its checked range"):
             aber_wsc2(ClosedFormContext(1.0, 1.0, 1e12))
+
+    def test_warning_names_the_first_caller_outside_the_package(self):
+        # Not the package line that passed the call on (the WSC2 lambda of
+        # the scheme table, or the sweep's analytic column).
+        ctx = ClosedFormContext.from_db(100.0)
+        cfg = SimConfig(params=SystemParams(p0_over_n0_db=100.0, block_len=4),
+                        schemes=(SchemeId.WSC2,), max_blocks=2, min_errors=0)
+        for call in (lambda: aber_wsc2(ctx),
+                     lambda: SCHEMES[SchemeId.WSC2].closed_form(1.0, ctx),
+                     lambda: sweep(cfg, "snr_db", [100.0])):
+            with pytest.warns(RuntimeWarning, match="outside its checked range") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
 
 
 class TestAsymptotic:

@@ -244,8 +244,9 @@ class TestRunSimulation:
     def test_worker_determinism(self):
         params = SystemParams(p0_over_n0_db=10.0, block_len=32)
         workers = (1, 2, 3, 8)
-        # One run stops mid-round on min_errors; the other runs to a cap that
-        # is not a multiple of any round size.
+        # One run stops on min_errors inside a chunk, with later chunks in
+        # flight; the other runs to a cap that is not a multiple of the chunk
+        # length times any worker count.
         for max_blocks, min_errors in ((3000, 150), (1000, 10 ** 9)):
             cfg = SimConfig(params=params, schemes=(SchemeId.SC, SchemeId.WSC2),
                             max_blocks=max_blocks, min_errors=min_errors, seed=9)
@@ -262,22 +263,30 @@ class TestRunSimulation:
                 assert [(e.bit_errors, e.bits) for e in r] == [(e.bit_errors, e.bits) for e in runs[0]]
 
     def test_stop_wastes_less_than_one_round(self, monkeypatch):
-        simulated = []
         chunk_errors = simulator._chunk_errors
-
-        def counting(params, schemes, beta_wsc1, seed, start, count):
-            simulated.append(count)
-            return chunk_errors(params, schemes, beta_wsc1, seed, start, count)
-
-        monkeypatch.setattr(simulator, "_chunk_errors", counting)
         params = SystemParams(p0_over_n0_db=10.0, block_len=32)
-        cfg = SimConfig(params=params, schemes=(SchemeId.SC,), max_blocks=100_000,
-                        min_errors=150, seed=9)
-        used = run_simulation(cfg)[0].bits // 32
-        assert used < cfg.max_blocks
-        # One round is one chunk per worker, and the chunk is sized by block length.
-        assert set(simulated[:-1]) <= {simulator._chunk_len(32)}
-        assert 0 <= sum(simulated) - used < simulator._chunk_len(32)
+        for workers in (1, 2):
+            events = []
+
+            def counting(params, schemes, beta_wsc1, seed, start, count):
+                events.append(("submit", seed, start, count))
+                return chunk_errors(params, schemes, beta_wsc1, seed, start, count)
+
+            with monkeypatch.context() as m:
+                if workers == 1:
+                    m.setattr(simulator, "_chunk_errors", counting)
+                else:
+                    m.setattr(simulator, "ProcessPoolExecutor", _recording_pool(events))
+                cfg = SimConfig(params=params, schemes=(SchemeId.SC,), max_blocks=100_000,
+                                min_errors=150, seed=9, workers=workers)
+                used = run_simulation(cfg)[0].bits // 32
+            assert used < cfg.max_blocks
+            simulated = [e[3] for e in events if e[0] == "submit"]
+            # Every chunk is sized by block length; the queue holds one chunk
+            # in this thread, or workers + 1 on a pool.
+            chunk = simulator._chunk_len(32)
+            assert set(simulated[:-1]) <= {chunk}
+            assert 0 <= sum(simulated) - used < (1 if workers == 1 else workers + 1) * chunk
 
     def test_chunk_is_64_blocks_from_block_len_63(self):
         for block_len in (63, 64, 65, 100, 128, 256, 1024, 10 ** 6):
@@ -334,6 +343,30 @@ class TestRunSimulation:
                 SimConfig(params=params, **kwargs)
 
 
+class _Recorded:
+    """A pool future whose result() is logged once it returns, that is, just before the fold."""
+
+    def __init__(self, future, events, key):
+        self._future, self._events, self._key = future, events, key
+
+    def result(self, timeout=None):
+        out = self._future.result(timeout)
+        self._events.append(("result", *self._key))
+        return out
+
+
+def _recording_pool(events):
+    """A simulator.ProcessPoolExecutor that logs ("submit"|"result", seed, start, count) per chunk."""
+
+    class RecordingPool(simulator.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            key = args[3:6]  # seed, start, count
+            events.append(("submit", *key))
+            return _Recorded(super().submit(fn, *args, **kwargs), events, key)
+
+    return RecordingPool
+
+
 class TestSweep:
     def test_empty_and_unsorted_values_rejected(self):
         cfg = SimConfig(params=SystemParams(p0_over_n0_db=0.0), max_blocks=10)
@@ -345,10 +378,10 @@ class TestSweep:
             sweep(cfg, "power", [1.0, 2.0])
 
     def test_invalid_point_rejected_before_any_simulation(self, monkeypatch):
-        def fail(cfg):
+        def fail(*args):
             raise AssertionError("simulated before validating every point")
 
-        monkeypatch.setattr(simulator, "run_simulation", fail)
+        monkeypatch.setattr(simulator, "_chunk_errors", fail)
         cfg = SimConfig(params=SystemParams(p0_over_n0_db=10.0), max_blocks=10)
         for values in ([0.5, float("nan")], [0.5, float("inf")], [-1.0, 0.5]):
             with pytest.raises(ValueError):
@@ -424,3 +457,64 @@ class TestSweep:
                         beta_wsc1=beta_opt, max_blocks=30_000, min_errors=500, seed=8)
         by_scheme = {e.scheme: e for e in run_simulation(cfg)}
         assert by_scheme[SchemeId.WSC1].ber <= by_scheme[SchemeId.SC].ber * 1.02
+
+
+class TestDispatch:
+    """One chunk queue serves a whole sweep: points overlap, and no count moves."""
+
+    # Every point stops mid-chunk on min_errors, after 1 to 7 chunks of 240 blocks.
+    CFG = SimConfig(params=SystemParams(p0_over_n0_db=0.0, block_len=16),
+                    schemes=(SchemeId.SC, SchemeId.WSC2), max_blocks=6000, min_errors=150, seed=12)
+    SNRS = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+
+    def _sweep(self, monkeypatch, workers):
+        events = []
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _recording_pool(events))
+        cfg = replace(self.CFG, workers=workers)
+        records = sweep(cfg, "snr_db", self.SNRS)
+        point = {cfg.seed + simulator._SWEEP_SEED_STRIDE * i: i for i in range(len(self.SNRS))}
+        used = [r.estimates[0].bits // cfg.params.block_len for r in records]
+        assert all(u < cfg.max_blocks for u in used)
+        # (kind, point, start, count, whether the chunk holds the point's stopping block)
+        return [(kind, point[seed], start, count, start < used[point[seed]] <= start + count)
+                for kind, seed, start, count in events]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_queue_holds_workers_plus_one_chunks(self, monkeypatch, workers):
+        in_flight, depth = 0, []
+        for kind, *_ in self._sweep(monkeypatch, workers):
+            in_flight += 1 if kind == "submit" else -1
+            depth.append(in_flight)
+        assert max(depth) == workers + 1
+        assert in_flight == 0
+
+    def test_second_chunk_only_when_no_run_is_idle(self, monkeypatch):
+        n = len(self.SNRS)
+        in_flight, stopped, speculative = [0] * n, [False] * n, 0
+        for kind, i, _, _, stops in self._sweep(monkeypatch, 2):
+            if kind == "result":
+                in_flight[i] -= 1
+                stopped[i] |= stops
+                continue
+            if in_flight[i]:
+                # Every other open run already has a chunk in flight, and
+                # the extra chunk goes to the lowest open run.
+                speculative += 1
+                assert all(stopped[j] or in_flight[j] for j in range(n) if j != i)
+                assert not any(not stopped[j] for j in range(i))
+            in_flight[i] += 1
+        assert speculative > 0
+
+    def test_next_point_starts_before_the_previous_stops(self, monkeypatch):
+        events = self._sweep(monkeypatch, 2)
+        for i in range(1, len(self.SNRS)):
+            first_submit = next(k for k, e in enumerate(events) if e[:2] == ("submit", i))
+            last_fold = next(k for k, e in enumerate(events) if e[:2] == ("result", i - 1) and e[4])
+            assert first_submit < last_fold
+
+    def test_records_do_not_depend_on_workers(self):
+        serial = sweep(self.CFG, "snr_db", self.SNRS)
+        blocks = [r.estimates[0].bits // 16 for r in serial]
+        assert all(b < self.CFG.max_blocks and b % simulator._chunk_len(16) for b in blocks)
+        for workers in (2, 3, 8):
+            assert sweep(replace(self.CFG, workers=workers), "snr_db", self.SNRS) == serial
