@@ -1,8 +1,8 @@
 """Closed-form ABER analysis for the D-DF system with weighted selection combining.
 
 All expressions are in N0-normalized units.  The derived constants
-u_i = 1 + gbar_i, v_i = 1 + 2*gbar_i and phi = gbar2/gbar1 are carried in
-an immutable ClosedFormContext shared by every evaluator.
+u_i = 1 + gbar_i, v_i = 1 + 2*gbar_i (v0 and v2 only) and phi = gbar2/gbar1
+are carried in an immutable ClosedFormContext shared by every evaluator.
 
 Exponential-integral products exp(a)*E1(z) are evaluated as
 exp(a - z) * (exp(z)*E1(z)).  WSC2 takes them in pairs of reduced arguments
@@ -38,10 +38,8 @@ __all__ = [
     "aber_wsc1",
     "aber_wsc2",
     "aber_asymptotic_wsc2",
-    "exp_integral_e1",
     "exp_integral_e1_scaled",
     "optimize_beta",
-    "diversity_order_estimate",
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -86,10 +84,6 @@ class ClosedFormContext:
     @property
     def v0(self) -> float:
         return 1.0 + 2.0 * self.gbar0
-
-    @property
-    def v1(self) -> float:
-        return 1.0 + 2.0 * self.gbar1
 
     @property
     def v2(self) -> float:
@@ -218,13 +212,6 @@ def _e1_series(x: float) -> float:
         if abs(contrib) < 1e-18 * max(1.0, abs(total)):
             break
     return total
-
-
-def exp_integral_e1(x: float) -> float:
-    """E1(x) = integral_x^inf exp(-t)/t dt for x > 0."""
-    if not x > 0:
-        raise ValueError(f"exp_integral_e1 requires x > 0, got {x}")
-    return math.exp(-x) * exp_integral_e1_scaled(x)
 
 
 def exp_integral_e1_scaled(x: float) -> float:
@@ -365,7 +352,7 @@ def aber_wsc2(ctx: ClosedFormContext) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotics, diversity, weight optimization
+# Asymptote and weight optimization
 # ---------------------------------------------------------------------------
 
 def aber_asymptotic_wsc2(p0: float) -> float:
@@ -436,17 +423,3 @@ def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     beta = min(candidates, key=lambda c: aber_wsc1(c, ctx))
     return beta, aber_wsc1(beta, ctx)
 
-
-def diversity_order_estimate(points) -> float:
-    """Least-squares slope of -log10(BER) against P0/N0(dB)/10."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-    x = np.array([p[0] for p in pts], dtype=float) / 10.0
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("BER values must be > 0")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("p0_db values must be strictly increasing")
-    slope = np.polyfit(x, -np.log10(y), 1)[0]
-    return float(slope)

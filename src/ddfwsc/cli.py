@@ -184,8 +184,7 @@ def _sweep_records(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = Fals
     for rec in sweep(cfg, axis, values, optimize_wsc1):
         snr_db = rec.axis_value if axis == "snr_db" else cfg.params.p0_over_n0_db
         for est in rec.estimates:
-            # The asymptote column belongs to the SNR waterfall's wsc2 rows.
-            asym = rec.asymptotic if axis == "snr_db" and est.scheme is SchemeId.WSC2 else None
+            asym = rec.asymptotic if est.scheme is SchemeId.WSC2 else None
             records.append(_estimate_record(snr_db, est.scheme, rec.beta_wsc1, est,
                                             rec.analytic.get(est.scheme), asym))
     return records

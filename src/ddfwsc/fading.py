@@ -17,11 +17,12 @@ this order:
 A (seed, block) pair therefore always yields the same block, however
 blocks are scheduled across workers or grouped into chunks.  ``stream_keys``
 computes many blocks' keys at once with a vectorized transcription of
-numpy's SeedSequence hash, and ``sample_blocks`` draws a chunk of blocks
-from one reused generator reset to each block's key; both give exactly
-the numbers of ``derive_stream``.  ``sample_blocks`` can write into
-caller-owned arrays (``out``), so the simulator's chunk kernel draws every
-chunk into the same per-thread buffers instead of fresh ones.
+numpy's SeedSequence hash, and ``sample_blocks``, the one draw path (one
+block is stream_ids ``[b]``), draws from one reused generator reset to
+each block's key; both give exactly the numbers of ``derive_stream``.
+``sample_blocks`` can write into caller-owned arrays (``out``), so the
+simulator's chunk kernel draws every chunk into the same per-thread
+buffers instead of fresh ones.
 ``sample_fading_block`` transcribes step 1 for one block and is the
 reference the batched draws are checked against.
 """
@@ -34,7 +35,6 @@ __all__ = [
     "derive_stream",
     "stream_keys",
     "sample_fading_block",
-    "sample_block",
     "sample_blocks",
 ]
 
@@ -156,15 +156,6 @@ def _gains(live, fading: np.ndarray, sigma_sq, h: np.ndarray) -> np.ndarray:
     h.real[:, live] = scale * fading[..., 0]
     h.imag[:, live] = scale * fading[..., 1]
     return h
-
-
-def sample_block(rng: np.random.Generator, sigma_sq, block_len: int):
-    """Draw one block from rng where it stands: (h (1, 3), uniforms (1, L), noise normals (1, 3, L+1, 2))."""
-    live = _live_links(sigma_sq)
-    h, bits, noise = _empty_draws(1, block_len)
-    fading = np.empty((1, len(live), 2))
-    _draw(rng, fading[0], bits[0], noise[0])
-    return _gains(live, fading, sigma_sq, h), bits, noise
 
 
 def sample_blocks(seed: int, stream_ids, sigma_sq, block_len: int, out=None):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import _db_to_power
 from .combiners import beta_wsc2
-from .fading import sample_block
+from .fading import sample_blocks
 # Not called here any more; perfbench/tracing.py wraps it under this module's name.
 from .fading import sample_fading_block  # noqa: F401
 
@@ -74,9 +74,9 @@ class SystemParams:
 class BlockObservables:
     """Per-block decision variables and relay-side quantities.
 
-    From simulate_block the arrays have length L and the rest are scalars;
-    from simulate_blocks every field gains a leading block axis.  xi0, xi2
-    and xiL are the real parts of complex product arrays (strided views).
+    Every field has the batch of blocks as its leading axis; simulate_block
+    returns one row of it (arrays of length L, scalars).  xi0, xi2 and xiL
+    are the real parts of complex product arrays (strided views).
     tx_bits (the data) and relay_bits are boolean, True for +1.  gamma1 is
     the S-R SNR as snr_mode delivers it to the destination: P0|h1|^2
     ("exact") or the received-energy estimate ("estimated").  beta_adaptive
@@ -244,7 +244,7 @@ def _simulate_into(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray
     )
 
 
-def simulate_block(params: SystemParams, rng: np.random.Generator) -> BlockObservables:
-    """Run one fading block, drawn from rng where it stands: simulate_blocks with N = 1."""
-    batch = simulate_blocks(params, *sample_block(rng, params.sigma_sq, params.block_len))
+def simulate_block(params: SystemParams, seed: int, block: int) -> BlockObservables:
+    """Run block ``block`` of seed ``seed``: row 0 of simulate_blocks on sample_blocks(seed, [block])."""
+    batch = simulate_blocks(params, *sample_blocks(seed, [block], params.sigma_sq, params.block_len))
     return BlockObservables(**{f.name: getattr(batch, f.name)[0] for f in fields(batch)})

@@ -89,6 +89,9 @@ class SimConfig:
             raise ValueError("workers must be >= 1")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        repeated = [s for i, s in enumerate(self.schemes) if s in self.schemes[:i]]
+        if repeated:
+            raise ValueError(f"scheme {SchemeId(repeated[0]).value!r} is given more than once")
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,8 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
     Seeds are offset per axis index so points are independent yet each
     point stays individually reproducible.  With optimize_wsc1 on the
     snr_db axis, WSC1 uses each point's optimize_beta weight instead of
-    cfg.beta_wsc1.  Every point is validated before any is simulated.  All
+    cfg.beta_wsc1.  Only snr_db records of a unit-variance wsc2 sweep carry
+    the asymptote.  Every point is validated before any is simulated.  All
     points go to one ``_dispatch`` at once, so with workers > 1 they share
     one process pool and run side by side: a point with no chunk in flight
     gets the next one before any point gets a speculative second.
@@ -322,7 +326,7 @@ def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> lis
         analytic = {s: ber for s in cfg.schemes
                     if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
         asym = None
-        if symmetric and SchemeId.WSC2 in cfg.schemes:
+        if axis == "snr_db" and symmetric and SchemeId.WSC2 in cfg.schemes:
             # Left empty where it overflows, as closed_form leaves undefined forms.
             with suppress(ValueError):
                 asym = analysis.aber_asymptotic_wsc2(point.params.p0)

@@ -32,6 +32,7 @@ phi = gbar2/gbar1 such as gbar = (1e4, 1e-3, 1e4); the tests check 1e-9.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,14 +113,10 @@ def aber_wsc2_by_integration(ctx: ClosedFormContext) -> float:
     return _average_over_gamma1(conditional, ctx, split=gbar2)
 
 
-class CheckResult:
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-
-    def __repr__(self):
-        return f"CheckResult({self.name!r}, passed={self.passed})"
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    detail: str = ""
 
 
 def _check_pdf_normalization(rng) -> CheckResult:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ddfwsc import analysis
 from ddfwsc.analysis import (
@@ -16,7 +17,6 @@ from ddfwsc.analysis import (
     aber_asymptotic_wsc2,
     aber_wsc1,
     aber_wsc2,
-    diversity_order_estimate,
     optimize_beta,
 )
 from ddfwsc.combiners import SchemeId, wsc_bits
@@ -122,6 +122,35 @@ def test_criterion_5_weight_factor_behavior():
     report(5, "weight-factor monotonicity and sweep minimum", ok,
            f"beta_opt {beta_opt:.4f}, sim argmin {sim_min:.4f}, "
            f"min errors {errs.min()}, monotone {mono}")
+
+
+def diversity_order_estimate(points) -> float:
+    """Least-squares slope of -log10(BER) against P0/N0(dB)/10."""
+    pts = list(points)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 points")
+    x = np.array([p[0] for p in pts], dtype=float) / 10.0
+    y = np.array([p[1] for p in pts], dtype=float)
+    if np.any(y <= 0):
+        raise ValueError("BER values must be > 0")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("p0_db values must be strictly increasing")
+    slope = np.polyfit(x, -np.log10(y), 1)[0]
+    return float(slope)
+
+
+class TestDiversityOrder:
+    def test_synthetic_power_law(self):
+        pts = [(db, 10 ** (-2 * db / 10)) for db in (10, 20, 30, 40)]
+        assert diversity_order_estimate(pts) == pytest.approx(2.0, abs=1e-9)
+
+    def test_degenerate_inputs(self):
+        with pytest.raises(ValueError):
+            diversity_order_estimate([(10, 0.1)])
+        with pytest.raises(ValueError):
+            diversity_order_estimate([(10, 0.1), (5, 0.2)])
+        with pytest.raises(ValueError):
+            diversity_order_estimate([(10, 0.0), (20, 0.1)])
 
 
 def test_criterion_6_diversity_orders():

@@ -17,8 +17,6 @@ from ddfwsc.analysis import (
     cdf_abs_xiw,
     cdf_xi0,
     cdf_xiw,
-    diversity_order_estimate,
-    exp_integral_e1,
     exp_integral_e1_scaled,
     optimize_beta,
     pdf_xi0,
@@ -34,7 +32,7 @@ class TestContext:
     def test_derived_constants(self):
         ctx = ClosedFormContext(2.0, 4.0, 6.0)
         assert (ctx.u0, ctx.u1, ctx.u2) == (3.0, 5.0, 7.0)
-        assert (ctx.v0, ctx.v1, ctx.v2) == (5.0, 9.0, 13.0)
+        assert (ctx.v0, ctx.v2) == (5.0, 13.0)
         assert ctx.phi == 1.5
         assert ctx.v0 == 2 * ctx.u0 - 1
 
@@ -174,6 +172,11 @@ class TestRelayLinkDistributions:
         emp = np.arange(1, n + 1) / n
         sup = np.max(np.abs(emp - cdf_xiw(x, beta, gamma1, ctx)))
         assert sup < 0.005
+
+
+def exp_integral_e1(x):
+    """E1(x) from the package's scaled exp(x) * E1(x)."""
+    return math.exp(-x) * exp_integral_e1_scaled(x)
 
 
 class TestExponentialIntegral:
@@ -478,16 +481,3 @@ class TestOptimizeBeta:
         brute = grid[np.argmin([aber_wsc1(b, ctx) for b in grid])]
         assert beta_opt == pytest.approx(brute, rel=1e-3)
 
-
-class TestDiversityOrder:
-    def test_synthetic_power_law(self):
-        pts = [(db, 10 ** (-2 * db / 10)) for db in (10, 20, 30, 40)]
-        assert diversity_order_estimate(pts) == pytest.approx(2.0, abs=1e-9)
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(ValueError):
-            diversity_order_estimate([(10, 0.1)])
-        with pytest.raises(ValueError):
-            diversity_order_estimate([(10, 0.1), (5, 0.2)])
-        with pytest.raises(ValueError):
-            diversity_order_estimate([(10, 0.0), (20, 0.1)])

@@ -169,6 +169,12 @@ class TestSimulate:
         assert proc.stdout == ""
         assert proc.stderr == "error: seed must be >= 0, got -1\n"
 
+    def test_repeated_scheme_usage_error(self):
+        proc = run_cli(["simulate", "--snr-db", "10", "--schemes", "sc,sc", "--blocks", "10", "--min-errors", "0"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: scheme 'sc' is given more than once\n"
+
     def test_seed_reproducibility_and_workers(self, capsys):
         args = ["simulate", "--schemes", "sc,wsc2", "--snr-db", "5", "--blocks", "200",
                 "--block-len", "32", "--min-errors", "0", "--seed", "13"]

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from ddfwsc.analysis import ClosedFormContext, aber_wsc1, aber_wsc2
 from ddfwsc.combiners import SCHEMES, SchemeId, beta_wsc2, lar_bits, wsc_bits
-from ddfwsc.fading import derive_stream
 from ddfwsc.link import SystemParams, simulate_block
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -93,14 +92,14 @@ class TestLar:
         gamma1 = {}
         for mode in ("exact", "estimated"):
             params = SystemParams(p0_over_n0_db=10.0, snr_mode=mode)
-            obs = simulate_block(params, derive_stream(5, 2))
+            obs = simulate_block(params, 5, 2)
             assert obs.beta_adaptive == beta_wsc2(obs.gamma1, params.gamma_bars[2])
             assert SCHEMES[SchemeId.WSC2].weight(0.3, obs.beta_adaptive) == obs.beta_adaptive
             gamma1[mode] = obs.gamma1
         # The same block's gamma1 is the exact SNR in one mode, its estimate in the other.
         assert gamma1["exact"] != gamma1["estimated"]
         dead = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 1.0, 0.0))
-        assert simulate_block(dead, derive_stream(5, 2)).beta_adaptive == 0.0
+        assert simulate_block(dead, 5, 2).beta_adaptive == 0.0
 
     def test_combine(self):
         assert lar_bits(np.array([1.0, 0.2, -0.5]), np.array([-0.5, -0.5, 0.5])).tolist() == [True, False, True]

@@ -5,7 +5,7 @@ import pytest
 
 from ddfwsc.analysis import ClosedFormContext, cdf_xi0
 from ddfwsc.combiners import lar_bits, wsc_bits
-from ddfwsc.fading import derive_stream, sample_block, sample_blocks
+from ddfwsc.fading import sample_blocks
 from ddfwsc.link import (
     SystemParams,
     decision_variables,
@@ -147,14 +147,14 @@ class TestEstimateRelaySnr:
 class TestSimulateBlock:
     def test_dead_relay_channel(self):
         params = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 0.0, 1.0))
-        obs = simulate_block(params, derive_stream(1, 0))
+        obs = simulate_block(params, 1, 0)
         # Relay sees pure noise; its decisions cannot track the data.
         mismatches = np.count_nonzero(obs.relay_bits != obs.tx_bits)
         assert 0 < mismatches < obs.tx_bits.size
 
     def test_noiseless_limit(self):
         params = SystemParams(p0_over_n0_db=80.0)
-        obs = simulate_block(params, derive_stream(2, 0))
+        obs = simulate_block(params, 2, 0)
         assert np.array_equal(obs.relay_bits, obs.tx_bits)
         assert np.array_equal(obs.xi0 > 0, obs.tx_bits)
 
@@ -162,7 +162,7 @@ class TestSimulateBlock:
         params = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 10 ** 5, 1.0))
         errs = bits = 0
         for b in range(40):
-            obs = simulate_block(params, derive_stream(3, b))
+            obs = simulate_block(params, 3, b)
             errs += np.count_nonzero(obs.relay_bits != obs.tx_bits)
             bits += obs.tx_bits.size
         assert errs / bits < 1e-4
@@ -172,11 +172,11 @@ class TestSimulateBlock:
         # received-energy estimate of that same SNR, within a few of its
         # standard deviations sqrt((2 gamma1 + 1) / (L + 1)).
         exact = SystemParams(p0_over_n0_db=13.0)
-        h1 = sample_block(derive_stream(4, 7), exact.sigma_sq, exact.block_len)[0][0, 1]
-        gamma1 = simulate_block(exact, derive_stream(4, 7)).gamma1
+        h1 = sample_blocks(4, [7], exact.sigma_sq, exact.block_len)[0][0, 1]
+        gamma1 = simulate_block(exact, 4, 7).gamma1
         assert gamma1 == pytest.approx(exact.p0 * abs(h1) ** 2, rel=1e-14)
         estimated = replace(exact, snr_mode="estimated")
-        est = simulate_block(estimated, derive_stream(4, 7)).gamma1
+        est = simulate_block(estimated, 4, 7).gamma1
         assert est >= 0
         assert est == pytest.approx(gamma1, abs=5 * np.sqrt((2 * gamma1 + 1) / (exact.block_len + 1)))
 
@@ -199,7 +199,7 @@ class TestSimulateBlock:
         # Huge gamma1 saturates the LAR factor at 1, so the LAR branch must
         # reuse the relay-link observables bit for bit.
         params = SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 10 ** 5, 1.0))
-        obs = simulate_block(params, derive_stream(8, 1))
+        obs = simulate_block(params, 8, 1)
         assert obs.gamma1 >= params.gamma_bars[2]
         assert np.array_equal(obs.xiL, obs.xi2)
 

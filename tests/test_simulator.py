@@ -338,7 +338,8 @@ class TestRunSimulation:
         params = SystemParams(p0_over_n0_db=0.0)
         for kwargs in (dict(max_blocks=0), dict(min_errors=-1), dict(beta_wsc1=0.0),
                        dict(beta_wsc1=float("nan")), dict(beta_wsc1=float("inf")),
-                       dict(workers=0), dict(schemes=()), dict(seed=-1)):
+                       dict(workers=0), dict(schemes=()), dict(seed=-1),
+                       dict(schemes=(SchemeId.SC, SchemeId.WSC2, SchemeId.SC))):
             with pytest.raises(ValueError):
                 SimConfig(params=params, **kwargs)
 
@@ -418,6 +419,12 @@ class TestSweep:
             assert by_scheme[SchemeId.WSC2].ber <= by_scheme[SchemeId.SC].ber
             assert SchemeId.SC in rec.analytic and SchemeId.WSC2 in rec.analytic
             assert rec.asymptotic is not None  # symmetric unit variances
+
+    def test_asymptote_on_the_snr_axis_only(self):
+        params = SystemParams(p0_over_n0_db=10.0, block_len=4)
+        cfg = SimConfig(params=params, schemes=(SchemeId.WSC2,), max_blocks=2, min_errors=0)
+        assert all(r.asymptotic is not None for r in sweep(cfg, "snr_db", [10.0, 20.0]))
+        assert [r.asymptotic for r in sweep(cfg, "beta", [0.5, 1.0])] == [None, None]
 
     def test_one_pool_per_sweep(self, monkeypatch):
         pools = []
