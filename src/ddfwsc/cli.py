@@ -11,6 +11,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import os
 import sys
 
 import numpy as np
@@ -26,22 +28,40 @@ COLUMNS = ["snr_db", "scheme", "beta", "ber_sim", "ci95_low", "ci95_high",
            "ber_analytic", "ber_asymptotic", "bit_errors", "bits"]
 
 
+MAX_GRID_POINTS = 1_000_000
+
+
 def parse_range(text: str) -> list[float]:
-    """Parse '10', '0:40:2' or '0.05:2:log20' into a list of grid values."""
+    """Parse '10', '0:40:2' or '0.05:2:log20' into a list of grid values.
+
+    A range needs finite bounds and step and gives at most MAX_GRID_POINTS
+    values; anything else is a ValueError that names the text.
+    """
     parts = text.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
+    malformed = ValueError(f"malformed range {text!r}; expected start:stop:step or start:stop:logN")
     if len(parts) != 3:
-        raise ValueError(f"malformed range {text!r}; expected start:stop:step or start:stop:logN")
-    start, stop = float(parts[0]), float(parts[1])
-    if parts[2].startswith("log"):
-        n = int(parts[2][3:])
-        if n < 2 or start <= 0 or stop <= start:
-            raise ValueError(f"malformed log range {text!r}")
-        return list(np.logspace(np.log10(start), np.log10(stop), n))
-    step = float(parts[2])
-    if step <= 0 or stop < start:
+        raise malformed
+    log = parts[2].startswith("log")
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        # For logN the step is N, the number of points.
+        step = int(parts[2][3:]) if log else float(parts[2])
+    except ValueError:
+        raise malformed from None
+    if not (math.isfinite(start) and math.isfinite(stop) and (log or math.isfinite(step))):
+        raise ValueError(f"malformed range {text!r}; bounds and step must be finite")
+    if log and (step < 2 or start <= 0 or stop <= start):
+        raise ValueError(f"malformed log range {text!r}")
+    if not log and (step <= 0 or stop < start):
         raise ValueError(f"malformed range {text!r}")
+    # The linear count is rounded below; a span that overflows gives inf.
+    points = step if log else (stop - start) / step + 1
+    if not points < MAX_GRID_POINTS + 0.5:
+        raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+    if log:
+        return list(np.logspace(np.log10(start), np.log10(stop), step))
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
 
@@ -213,6 +233,17 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise ValueError unless path opens for writing; the file is left as it was."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -222,6 +253,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(args)
+        if args.out:
+            _check_writable(args.out)
         records = handlers[args.command](args)
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")

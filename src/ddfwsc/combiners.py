@@ -38,15 +38,17 @@ class Scheme:
     ``weight(beta_wsc1, beta_adaptive)`` is the selection weight for one
     block, given that block's min(1, gamma1/gbar2); it is None for LAR,
     which adds the direct and relay branches instead of selecting.
-    ``beta_column(beta_wsc1)`` is the CSV beta column: the weight when it is
-    fixed before the block is seen, None when it adapts per block.
     ``aber(beta_wsc1, ctx)`` is the closed-form ABER (None for LAR, which
     has none); it raises ValueError where the form is undefined.
     """
 
     weight: Callable[[float, float], float] | None
-    beta_column: Callable[[float], float | None]
     aber: Callable[[float, analysis.ClosedFormContext], float] | None
+
+    def beta_column(self, beta_wsc1: float) -> float | None:
+        """The CSV beta column: the weight when it is fixed before the block
+        is seen, None when it adapts per block (WSC2) or there is none (LAR)."""
+        return None if self.weight is None else self.weight(beta_wsc1, None)
 
     def closed_form(self, beta_wsc1: float, ctx: analysis.ClosedFormContext) -> float | None:
         """The closed-form ABER, or None where there is none (LAR, degenerate gbar)."""
@@ -62,15 +64,12 @@ class Scheme:
 # replaced analysis function is the one that runs.
 SCHEMES: dict[SchemeId, Scheme] = {
     SchemeId.SC: Scheme(weight=lambda beta_wsc1, beta_adaptive: 1.0,
-                        beta_column=lambda beta_wsc1: 1.0,
                         aber=lambda beta_wsc1, ctx: analysis.aber_wsc1(1.0, ctx)),
     SchemeId.WSC1: Scheme(weight=lambda beta_wsc1, beta_adaptive: beta_wsc1,
-                          beta_column=lambda beta_wsc1: beta_wsc1,
                           aber=lambda beta_wsc1, ctx: analysis.aber_wsc1(beta_wsc1, ctx)),
     SchemeId.WSC2: Scheme(weight=lambda beta_wsc1, beta_adaptive: beta_adaptive,
-                          beta_column=lambda beta_wsc1: None,
                           aber=lambda beta_wsc1, ctx: analysis.aber_wsc2(ctx)),
-    SchemeId.LAR: Scheme(weight=None, beta_column=lambda beta_wsc1: None, aber=None),
+    SchemeId.LAR: Scheme(weight=None, aber=None),
 }
 
 

@@ -154,22 +154,23 @@ def relay_detect(y1: np.ndarray, out=None, work=None) -> np.ndarray:
     return np.greater_equal(decision_variables(y1, out=work), 0, out=out)
 
 
-def estimate_relay_snr(y1: np.ndarray, block_len: int, work=None):
+def estimate_relay_snr(y1: np.ndarray, work=None):
     """Moment estimate of the relay SNR from received energy, clamped at 0.
 
-    Divides by the L+1 symbols actually observed (reference included).  The
-    energy is summed along the last axis, so a 2-D y1 holding one block per
-    row gives one estimate per row.  ``work``, optional, is a complex array
-    of y1's shape whose real and imaginary parts hold the squares.
+    The energy is summed along the last axis and divided by its length, the
+    L+1 symbols actually observed (reference included), so a 2-D y1 holding
+    one block per row gives one estimate per row.  ``work``, optional, is a
+    complex array of y1's shape whose real and imaginary parts hold the
+    squares.
     """
     y1 = np.asarray(y1)
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
+    if y1.ndim == 0 or y1.shape[-1] == 0:
+        raise ValueError("need at least 1 received symbol")
     if work is None:
         work = np.empty(y1.shape, dtype=complex)
     power = np.add(np.square(y1.real, out=work.real), np.square(y1.imag, out=work.imag), out=work.real)
     energy = np.sum(power, axis=-1)
-    return np.maximum(0.0, energy / (block_len + 1) - 1.0)
+    return np.maximum(0.0, energy / y1.shape[-1] - 1.0)
 
 
 def simulate_blocks(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray,
@@ -204,7 +205,6 @@ def _simulate_into(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray
     noise_normals must be C-contiguous float; it is scaled in place to the
     noise.  The arrays of the result are views of buf.
     """
-    L = params.block_len
     p0 = params.p0
     sqrt_p0 = np.sqrt(p0)
     h0, h1, h2 = h.T
@@ -223,7 +223,7 @@ def _simulate_into(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray
     if params.snr_mode == "exact":
         gamma1 = p0 * (h1.real ** 2 + h1.imag ** 2)
     else:
-        gamma1 = estimate_relay_snr(y1, L, work=buf.y[0])
+        gamma1 = estimate_relay_snr(y1, work=buf.y[0])
     s_hat = diff_encode(relay_bits, out=buf.symbols, work=buf.signs)
 
     xi2 = decision_variables(_received(sqrt_p0 * h2, s_hat, n2, buf.y[0]), out=buf.xi[1])

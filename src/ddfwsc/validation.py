@@ -9,6 +9,11 @@ with xi_w = beta*xi2, averaged over gamma1 ~ Exp(gbar1).  These are
 integrated directly from the pdf/CDF primitives, so a transcription error in
 any printed closed form (I1/I2, L1/L2, K1/K2, Xi) is caught by comparison.
 
+At a fixed weight (WSC1) the gamma1 average is exact: gamma1 enters only
+f_xiw, through exp(-gamma1) and psi = 2 - exp(-gamma1), so Pe1 + Pe2 given
+gamma1 is affine in exp(-gamma1) and averages to its value at
+E[exp(-gamma1)] = 1/(1 + gbar1), i.e. at gamma1 = log1p(gbar1).
+
 The rule is fixed and needs numpy only: composite 16-point Gauss-Legendre
 on panels 0.5 wide in ln t and in ln gamma1, so every node is resolved on
 a relative scale however far apart the link SNRs are.
@@ -16,11 +21,11 @@ a relative scale however far apart the link SNRs are.
 - t runs from 1e-12 x the smallest scale of the integrand to 80 x the
   largest; the scales are 1/2, v0/2, beta/2 and v2*beta/2, the decay
   lengths of the four exponentials in the pdfs and CDFs.
-- gamma1 runs from 1e-14 x min(1, gbar1, gbar2) to 60*gbar1, with panel
-  edges at 1 (the relay's error probability exp(-gamma1)/2 turns there)
-  and, for WSC2, at gbar2, where beta(gamma1) has its kink.  That is about
-  1-1.5k gamma1 nodes, each integrated over its own t grid of 1-2.6k
-  nodes; no (gamma1 x t) grid is built, to keep peak memory small.
+- Under WSC2 beta depends on gamma1, so that oracle averages over gamma1
+  nodes from 1e-14 x min(1, gbar1, gbar2) to 60*gbar1, with panel edges at
+  1 (the relay's error probability exp(-gamma1)/2 turns there) and at gbar2
+  (the kink of beta): 1-1.5k nodes, each with its own t grid of 1-2.6k
+  nodes and no (gamma1 x t) grid, to keep peak memory small.
 - The pdf-normalization check integrates both half-lines with the same
   t rule.
 
@@ -81,36 +86,27 @@ def _average_over_gamma1(fn, ctx: ClosedFormContext, split: float | None = None)
     return float(vals @ (w * np.exp(-g1 / gbar1))) / gbar1
 
 
+def _conditional_aber(beta: float, g1: float, ctx: ClosedFormContext) -> float:
+    """Pe1 + Pe2 given gamma1 = g1; at beta = 0 the direct link is always selected."""
+    if beta <= 0:
+        return analysis.cdf_xi0(0.0, ctx)
+    t, w = _t_rule(beta, ctx)
+    return float(w @ (analysis.pdf_xi0(-t, ctx) * analysis.cdf_abs_xiw(t, beta, ctx)
+                      + analysis.pdf_xiw(-t, beta, g1, ctx) * analysis.cdf_abs_xi0(t, ctx)))
+
+
 def aber_wsc1_by_integration(beta: float, ctx: ClosedFormContext) -> float:
-    """Direct quadrature of the error decomposition at a fixed weight factor."""
+    """Direct quadrature at a fixed weight factor, its gamma1 average exact (module docstring)."""
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    t, w = _t_rule(beta, ctx)
-    # Pe1 is gamma1-free since F_|xiw| is.
-    pe1 = float(w @ (analysis.pdf_xi0(-t, ctx) * analysis.cdf_abs_xiw(t, beta, ctx)))
-    w_pe2 = w * analysis.cdf_abs_xi0(t, ctx)
-    pe2 = _average_over_gamma1(lambda g1: analysis.pdf_xiw(-t, beta, g1, ctx) @ w_pe2, ctx)
-    return pe1 + pe2
+    return _conditional_aber(beta, math.log1p(ctx.gbar1), ctx)
 
 
 def aber_wsc2_by_integration(ctx: ClosedFormContext) -> float:
-    """Direct quadrature with the adaptive weight beta(gamma1) = min(1, gamma1/gbar2).
-
-    The gamma1 average is split at gbar2 where beta switches branch.
-    """
+    """Direct quadrature with the adaptive weight beta(gamma1) = min(1, gamma1/gbar2)."""
     gbar2 = ctx.gbar2
-
-    def conditional(g1: float) -> float:
-        beta = min(1.0, g1 / gbar2)
-        if beta <= 0:
-            # Degenerate weight: the direct link is always selected.
-            return analysis.cdf_xi0(0.0, ctx)
-        t, w = _t_rule(beta, ctx)
-        integrand = (analysis.pdf_xi0(-t, ctx) * analysis.cdf_abs_xiw(t, beta, ctx)
-                     + analysis.pdf_xiw(-t, beta, g1, ctx) * analysis.cdf_abs_xi0(t, ctx))
-        return w @ integrand
-
-    return _average_over_gamma1(conditional, ctx, split=gbar2)
+    return _average_over_gamma1(lambda g1: _conditional_aber(min(1.0, g1 / gbar2), g1, ctx),
+                                ctx, split=gbar2)
 
 
 class CheckResult(NamedTuple):

@@ -1,12 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ddfwsc import analysis
-from ddfwsc.cli import main, parse_range
+from ddfwsc import analysis, simulator
+from ddfwsc.cli import MAX_GRID_POINTS, main, parse_range
 from ddfwsc.validation import run_checks
 
 
@@ -31,10 +32,19 @@ class TestParseRange:
         assert vals[0] == pytest.approx(0.05)
         assert vals[-1] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("bad", ["1:2", "1:2:3:4", "5:1:1", "1:2:log1", "0:2:log5", "a:b:c"])
+    # Non-finite bounds or step, an empty or non-integer logN, and grids of
+    # more than a million points (0:1e9:1e-9 would be 1e18) are refused.
+    @pytest.mark.parametrize("bad", ["1:2", "1:2:3:4", "5:1:1", "1:2:log1", "0:2:log5", "a:b:c",
+                                     "0:inf:1", "-inf:0:1", "nan:1:1", "0:10:log", "0:10:logx",
+                                     "0:10:nan", "0:1e9:1e-9", "-1e308:1e308:1", "1:2:log1000001"])
     def test_malformed(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_range(bad)
+
+    def test_grid_size_limit(self):
+        assert len(parse_range("0:999999:1")) == MAX_GRID_POINTS == 10 ** 6
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            parse_range("0:1000000:1")
 
 
 class TestAnalyze:
@@ -262,6 +272,10 @@ class TestSweepCommands:
     def test_malformed_range_usage_error(self):
         proc = run_cli(["sweep-snr", "--snr-db", "5:10", "--blocks", "10"])
         assert proc.returncode == 2
+        proc = run_cli(["analyze", "--scheme", "sc", "--snr-db", "0:inf:1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: malformed range '0:inf:1'; bounds and step must be finite\n"
 
 
 class TestJsonOutput:
@@ -304,6 +318,30 @@ class TestValidate:
         proc = run_cli(["analyze", "--scheme", "sc", "--snr-db", "10", "--out", str(target)])
         assert proc.returncode == 0
         assert target.read_text().startswith("snr_db,scheme")
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def not_called(*args):
+            pytest.fail("the simulation ran before --out was checked")
+
+        monkeypatch.setattr(simulator, "_chunk_errors", not_called)
+        target = tmp_path / "missing" / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--snr-db", "10", "--blocks", "10", "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+
+    def test_failed_command_leaves_out_file_alone(self, tmp_path, capsys):
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_text("earlier results\n")
+        for target in (kept, absent):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--snr-db", "10", "--blocks", "0", "--out", str(target)])
+            assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: max_blocks must be >= 1\n" * 2
+        assert kept.read_text() == "earlier results\n"
+        assert not absent.exists()
 
 
 class TestNumpyOnlyRuntime:

@@ -104,16 +104,21 @@ class TestBitType:
 
 class TestEstimateRelaySnr:
     def test_all_zero_clamps(self):
-        assert estimate_relay_snr(np.zeros(10, dtype=complex), 9) == 0.0
+        assert estimate_relay_snr(np.zeros(10, dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_last_axis_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least 1 received symbol"):
+            estimate_relay_snr(np.zeros(shape, dtype=complex))
 
     def test_noiseless_bias(self):
         # With P0|h1|^2 = 3 and no noise the estimator reads 3 - 1 = 2:
         # the noise-floor subtraction biases the clean-signal case.
         y = np.sqrt(3.0) * np.ones(257, dtype=complex)
-        assert estimate_relay_snr(y, 256) == pytest.approx(2.0)
+        assert estimate_relay_snr(y) == pytest.approx(2.0)
         # One estimate per row, each the one-block value.
         rows = np.stack([y, np.zeros(257, dtype=complex)])
-        assert estimate_relay_snr(rows, 256).tolist() == [estimate_relay_snr(y, 256), 0.0]
+        assert estimate_relay_snr(rows).tolist() == [estimate_relay_snr(y), 0.0]
 
     def test_unbiased_mean(self):
         rng = np.random.default_rng(5)
@@ -122,7 +127,7 @@ class TestEstimateRelaySnr:
         ests = np.empty(trials)
         for t in range(trials):
             n = np.sqrt(0.5) * (rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1))
-            ests[t] = estimate_relay_snr(np.sqrt(gamma1) * s + n, L)
+            ests[t] = estimate_relay_snr(np.sqrt(gamma1) * s + n)
         assert np.mean(ests) == pytest.approx(5.0, abs=0.05)
 
     def test_std_shrinks_with_block_length(self):
@@ -133,8 +138,7 @@ class TestEstimateRelaySnr:
             ests = [
                 estimate_relay_snr(
                     np.sqrt(5.0) * s
-                    + np.sqrt(0.5) * (rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1)),
-                    L,
+                    + np.sqrt(0.5) * (rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1))
                 )
                 for _ in range(2000)
             ]

@@ -60,6 +60,22 @@ def test_wsc2_when_the_beta_kink_falls_on_the_gamma1_split(gb):
     assert aber_wsc2_by_integration(ctx) == pytest.approx(aber_wsc2(ctx), rel=1e-4)
 
 
+# Criterion-1 draws, then a zero, a small and a large gbar1.
+EXACT_AVERAGE_POINTS = (WSC1_FINDINGS
+                        + [(gb, beta) for scheme, gb, beta in _criterion_1_draws(5) if scheme == "wsc1"]
+                        + [((10.0, gbar1, 5.0), 0.7) for gbar1 in (0.0, 1e-3, 1e4)])
+
+
+@pytest.mark.parametrize("gb,beta", EXACT_AVERAGE_POINTS)
+def test_wsc1_gamma1_average_taken_exactly(gb, beta):
+    # Given gamma1, Pe1 + Pe2 is affine in exp(-gamma1), so its average over
+    # gamma1 ~ Exp(gbar1) on the gamma1 nodes is its value at log1p(gbar1).
+    ctx = ClosedFormContext(*gb)
+    by_nodes = validation._average_over_gamma1(
+        lambda g1: validation._conditional_aber(beta, g1, ctx), ctx)
+    assert aber_wsc1_by_integration(beta, ctx) == pytest.approx(by_nodes, rel=1e-12)
+
+
 @pytest.mark.parametrize("scheme,gb,beta", POINTS + _criterion_1_draws(5))
 def test_halving_the_panels_moves_the_oracle_by_at_most_1e9(monkeypatch, scheme, gb, beta):
     ref = _oracle(scheme, gb, beta)
