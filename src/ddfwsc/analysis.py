@@ -132,30 +132,43 @@ def cdf_abs_xi0(x, ctx: ClosedFormContext):
     return out if out.ndim else float(out)
 
 
-def _psi(gamma1: float) -> float:
-    return 2.0 - math.exp(-gamma1)
+def _psi(gamma1):
+    return 2.0 - np.exp(-gamma1)
 
 
-def pdf_xiw(x, beta: float, gamma1: float, ctx: ClosedFormContext):
+def _weights(beta) -> np.ndarray:
+    """beta as a float array; ValueError unless every weight is > 0."""
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
+        raise ValueError(f"beta must be > 0, got {beta.min()}")
+    return beta
+
+
+def pdf_xiw(x, beta, gamma1, ctx: ClosedFormContext):
     """Density of the weighted relay decision variable, a two-sided Gaussian
-    mixture reflecting the instantaneous relay error probability exp(-gamma1)/2."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    x = np.asarray(x, dtype=float)
+    mixture reflecting the instantaneous relay error probability exp(-gamma1)/2.
+
+    x, beta and gamma1 broadcast against each other.
+    """
+    beta = _weights(beta)
+    x, gamma1 = np.asarray(x, dtype=float), np.asarray(gamma1, dtype=float)
     u2, v2 = ctx.u2, ctx.v2
-    psi = _psi(gamma1)
-    xn = np.minimum(x, 0.0)
-    xp = np.maximum(x, 0.0)
-    neg = np.exp(2.0 * xn / (v2 * beta) - gamma1) + psi * np.exp(2.0 * xn / beta)
-    pos = np.exp(-2.0 * xp / beta - gamma1) + psi * np.exp(-2.0 * xp / (v2 * beta))
-    out = np.where(x <= 0, neg, pos) / (2.0 * u2 * beta)
+    # Each side is two Laplace tails, of scales beta/2 and v2 beta/2.  The
+    # relay's wrong decisions (weight exp(-gamma1)) take the wide one on the
+    # negative side and the narrow one on the positive side; the right ones
+    # (weight psi) the other.  Built in place, to keep a block's temporaries few.
+    left = x <= 0
+    a = -2.0 * np.abs(x)
+    out = np.exp(a / np.where(left, v2 * beta, beta) - gamma1)
+    out += _psi(gamma1) * np.exp(a / np.where(left, beta, v2 * beta))
+    out /= 2.0 * u2 * beta
     return out if out.ndim else float(out)
 
 
-def cdf_xiw(x, beta: float, gamma1: float, ctx: ClosedFormContext):
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    x = np.asarray(x, dtype=float)
+def cdf_xiw(x, beta, gamma1, ctx: ClosedFormContext):
+    """CDF of the weighted relay decision variable; x, beta and gamma1 broadcast."""
+    beta = _weights(beta)
+    x, gamma1 = np.asarray(x, dtype=float), np.asarray(gamma1, dtype=float)
     u2, v2 = ctx.u2, ctx.v2
     psi = _psi(gamma1)
     xn = np.minimum(x, 0.0)
@@ -166,10 +179,9 @@ def cdf_xiw(x, beta: float, gamma1: float, ctx: ClosedFormContext):
     return out if out.ndim else float(out)
 
 
-def cdf_abs_xiw(x, beta: float, ctx: ClosedFormContext):
-    """CDF of |xi_w|; independent of the instantaneous relay SNR."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+def cdf_abs_xiw(x, beta, ctx: ClosedFormContext):
+    """CDF of |xi_w|; independent of the instantaneous relay SNR.  x and beta broadcast."""
+    beta = _weights(beta)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("cdf_abs_xiw requires x >= 0")
@@ -348,7 +360,11 @@ def aber_wsc2(ctx: ClosedFormContext) -> float:
     if top > 1e8:  # the top of the range checked to 1e-6 relative
         warnings.warn(f"aber_wsc2 at {at} is outside its checked range (all <= 1e8) and may lose digits: "
                       "up to 2.7e-4 relative", RuntimeWarning, stacklevel=_outside_stacklevel())
-    return _wsc2_l1(ctx) + _wsc2_l2(ctx) + _wsc2_k1(ctx) + _wsc2_k2(ctx)
+    aber = _wsc2_l1(ctx) + _wsc2_l2(ctx) + _wsc2_k1(ctx) + _wsc2_k2(ctx)
+    if not math.isfinite(aber):
+        raise ValueError(f"aber_wsc2 at {at} is not finite: its E1 arguments, multiples of "
+                         f"phi = gamma_bar_2/gamma_bar_1 = {ctx.gbar2 / ctx.gbar1:g}, overflow float64")
+    return aber
 
 
 # ---------------------------------------------------------------------------

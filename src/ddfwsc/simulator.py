@@ -53,7 +53,7 @@ import numpy as np
 from . import analysis
 from .analysis import ClosedFormContext
 from .combiners import SCHEMES, SchemeId, lar_bits, wsc_bits
-from .fading import _empty_draws, sample_blocks
+from .fading import _DrawBuffers, sample_blocks
 from .link import SystemParams, _LinkBuffers, _simulate_into
 # Not called here any more; perfbench/tracing.py wraps them under this module's names.
 from .fading import derive_stream  # noqa: F401
@@ -144,7 +144,7 @@ class _Workspace:
 
     def __init__(self, count: int, block_len: int) -> None:
         self.shape = (count, block_len)
-        self.draws = _empty_draws(count, block_len)
+        self.draws = _DrawBuffers(count, block_len)
         self.link = _LinkBuffers.empty(count, block_len)
         self.work = (np.empty(self.shape), np.empty(self.shape))
         self.decision = np.empty(self.shape, dtype=bool)

@@ -24,8 +24,14 @@ a relative scale however far apart the link SNRs are.
 - Under WSC2 beta depends on gamma1, so that oracle averages over gamma1
   nodes from 1e-14 x min(1, gbar1, gbar2) to 60*gbar1, with panel edges at
   1 (the relay's error probability exp(-gamma1)/2 turns there) and at gbar2
-  (the kink of beta): 1-1.5k nodes, each with its own t grid of 1-2.6k
-  nodes and no (gamma1 x t) grid, to keep peak memory small.
+  (the kink of beta): 1-1.5k nodes.  It integrates one ln gamma1 panel (16
+  nodes) per call, on a (16 x t) grid: the panel shares one t rule that
+  spans all 16 nodes' scales (beta varies by at most e^0.5 across it), so
+  a criterion-1 tuple takes 73-93 such calls and peaks at about 1.5 MB.
+- Where beta * v2 < 2^-60 (a dead R-D link, or a gbar1 so small that
+  beta = gamma1/gbar2 never matters) the relay branch cannot move the
+  result in float64, and the direct link's 1/(2 u0) is used
+  (_conditional_aber).
 - The pdf-normalization check integrates both half-lines with the same
   t rule.
 
@@ -37,6 +43,7 @@ phi = gbar2/gbar1 such as gbar = (1e4, 1e-3, 1e4); the tests check 1e-9.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +60,7 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _PANEL = 0.5  # panel width in the log variable
+_NEGLIGIBLE = 2.0 ** -60  # beta * v2 below which the relay branch cannot move Pe (_conditional_aber)
 
 
 def _log_rule(lo: float, hi: float, splits=()) -> tuple[np.ndarray, np.ndarray]:
@@ -69,30 +77,52 @@ def _log_rule(lo: float, hi: float, splits=()) -> tuple[np.ndarray, np.ndarray]:
     return x, np.concatenate(weights) * x
 
 
-def _t_rule(beta: float, ctx: ClosedFormContext) -> tuple[np.ndarray, np.ndarray]:
-    """The rule over t in (0, inf) for integrands built from f_xi0, f_xiw and their CDFs."""
-    scales = (0.5, 0.5 * ctx.v0, 0.5 * beta, 0.5 * ctx.v2 * beta)
+def _t_rule(beta, ctx: ClosedFormContext) -> tuple[np.ndarray, np.ndarray]:
+    """The rule over t in (0, inf) for integrands built from f_xi0, f_xiw and their CDFs.
+
+    One rule serves every weight in beta: it spans the union of their scales.
+    """
+    lo, hi = np.min(beta), np.max(beta)
+    scales = (0.5, 0.5 * ctx.v0, 0.5 * lo, 0.5 * ctx.v2 * hi)
     return _log_rule(1e-12 * min(scales), 80.0 * max(scales))
 
 
 def _average_over_gamma1(fn, ctx: ClosedFormContext, split: float | None = None) -> float:
-    """E[fn(gamma1)] for gamma1 ~ Exp(mean gbar1); a point mass at 0 when gbar1 = 0."""
+    """E[fn(gamma1)] for gamma1 ~ Exp(mean gbar1); a point mass at 0 when gbar1 = 0.
+
+    fn takes an array of gamma1 nodes, one panel of the rule at a time, and
+    returns its values there.  A gbar1 or gbar2 below the smallest normal
+    float is a ValueError: the lowest node would underflow.
+    """
     gbar1 = ctx.gbar1
     if gbar1 == 0:
-        return fn(0.0)
-    lo = 1e-14 * min(g for g in (1.0, gbar1, ctx.gbar2) if g > 0)
-    g1, w = _log_rule(lo, 60.0 * gbar1, (1.0,) if split is None else (1.0, split))
-    vals = np.fromiter(map(fn, g1.tolist()), dtype=float, count=g1.size)
+        return float(fn(np.zeros(1))[0])
+    smallest = min(g for g in (1.0, gbar1, ctx.gbar2) if g > 0)
+    if smallest < sys.float_info.min:
+        raise ValueError(f"gamma_bar {smallest:g} is subnormal: the gamma1 rule needs gbar1 and gbar2 "
+                         f"to be 0 or at least {sys.float_info.min:g}")
+    g1, w = _log_rule(1e-14 * smallest, 60.0 * gbar1, (1.0,) if split is None else (1.0, split))
+    vals = np.concatenate([fn(panel) for panel in g1.reshape(-1, _GL_X.size)])
     return float(vals @ (w * np.exp(-g1 / gbar1))) / gbar1
 
 
-def _conditional_aber(beta: float, g1: float, ctx: ClosedFormContext) -> float:
-    """Pe1 + Pe2 given gamma1 = g1; at beta = 0 the direct link is always selected."""
-    if beta <= 0:
-        return analysis.cdf_xi0(0.0, ctx)
-    t, w = _t_rule(beta, ctx)
-    return float(w @ (analysis.pdf_xi0(-t, ctx) * analysis.cdf_abs_xiw(t, beta, ctx)
-                      + analysis.pdf_xiw(-t, beta, g1, ctx) * analysis.cdf_abs_xi0(t, ctx)))
+def _conditional_aber(beta, g1, ctx: ClosedFormContext):
+    """Pe1 + Pe2 given gamma1 = g1 at weight beta; arrays of the two broadcast and share one t rule.
+
+    Where beta * v2 < 2^-60 the relay branch moves the result by less than
+    2^-59 relative (|Pe(beta) - Pe(0)| <= 2 beta E|xi2| / u0 <= beta v2 / u0,
+    and Pe(0) = 1/(2 u0)), so there, as at beta = 0, the direct link is
+    always selected and the result is cdf_xi0(0).
+    """
+    beta, g1 = np.broadcast_arrays(np.asarray(beta, dtype=float), np.asarray(g1, dtype=float))
+    out = np.full(beta.shape, analysis.cdf_xi0(0.0, ctx))
+    live = beta * ctx.v2 >= _NEGLIGIBLE
+    if np.any(live):
+        b, g = beta[live][:, None], g1[live][:, None]
+        t, w = _t_rule(b, ctx)
+        out[live] = (analysis.pdf_xi0(-t, ctx) * analysis.cdf_abs_xiw(t, b, ctx)
+                     + analysis.pdf_xiw(-t, b, g, ctx) * analysis.cdf_abs_xi0(t, ctx)) @ w
+    return out if out.ndim else float(out)
 
 
 def aber_wsc1_by_integration(beta: float, ctx: ClosedFormContext) -> float:
@@ -103,10 +133,18 @@ def aber_wsc1_by_integration(beta: float, ctx: ClosedFormContext) -> float:
 
 
 def aber_wsc2_by_integration(ctx: ClosedFormContext) -> float:
-    """Direct quadrature with the adaptive weight beta(gamma1) = min(1, gamma1/gbar2)."""
+    """Direct quadrature with the adaptive weight beta(gamma1) = min(1, gamma1/gbar2).
+
+    A dead R-D link (gbar2 = 0) has weight 0, as in the simulator: the direct
+    link decides alone.
+    """
     gbar2 = ctx.gbar2
-    return _average_over_gamma1(lambda g1: _conditional_aber(min(1.0, g1 / gbar2), g1, ctx),
-                                ctx, split=gbar2)
+
+    def panel(g1):
+        beta = np.minimum(1.0, g1 / gbar2) if gbar2 > 0 else np.zeros_like(g1)
+        return _conditional_aber(beta, g1, ctx)
+
+    return _average_over_gamma1(panel, ctx, split=gbar2)
 
 
 class CheckResult(NamedTuple):

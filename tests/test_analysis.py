@@ -156,6 +156,24 @@ class TestRelayLinkDistributions:
             with pytest.raises(ValueError):
                 fn()
 
+    def test_arrays_broadcast_row_by_row(self):
+        # A block of (beta, gamma1) rows against a t grid, as the quadrature
+        # oracle evaluates them: each row is the scalar call's, to 1 ulp.
+        ctx = ClosedFormContext(3.0, 2.0, 40.0)
+        x = np.concatenate([-np.geomspace(1e-6, 50.0, 40), [0.0], np.geomspace(1e-6, 50.0, 40)])
+        beta = np.array([1e-4, 0.03, 0.5, 1.0, 1.7])[:, None]
+        gamma1 = np.array([0.0, 1e-3, 0.7, 4.0, 30.0])[:, None]
+        blocks = {
+            "pdf_xiw": (pdf_xiw(x, beta, gamma1, ctx), lambda xi, b, g: pdf_xiw(xi, b, g, ctx)),
+            "cdf_xiw": (cdf_xiw(x, beta, gamma1, ctx), lambda xi, b, g: cdf_xiw(xi, b, g, ctx)),
+            "cdf_abs_xiw": (cdf_abs_xiw(np.abs(x), beta, ctx), lambda xi, b, g: cdf_abs_xiw(abs(xi), b, ctx)),
+        }
+        for name, (block, scalar) in blocks.items():
+            assert block.shape == (5, x.size), name
+            for row, b, g in zip(block, beta[:, 0].tolist(), gamma1[:, 0].tolist()):
+                ref = np.array([scalar(xi, b, g) for xi in x.tolist()])
+                assert np.all(np.abs(row - ref) <= np.spacing(np.abs(ref))), name
+
     def test_forced_relay_flips_match_mixture(self):
         # Direct Monte Carlo of the conditional relay-link model: Gaussian
         # decision variable with sign flipped at rate exp(-gamma1)/2.
@@ -321,6 +339,13 @@ class TestAberWsc2:
             aber_wsc2(ClosedFormContext(1.0, 1.0, 1.1e12))
         with pytest.warns(RuntimeWarning, match="outside its checked range"):
             aber_wsc2(ClosedFormContext(1.0, 1.0, 1e12))
+
+    @pytest.mark.parametrize("gbars", [(10.0, 1e-307, 10.0), (10.0, 1e-310, 10.0)])
+    def test_non_finite_result_is_value_error(self, gbars):
+        # phi = gbar2/gbar1 is 1e308 and inf: the E1 arguments overflow and the sum is nan.
+        with pytest.raises(ValueError, match=r"aber_wsc2 at gamma_bar = \(10, 1e-3\d\d, 10\) is not finite"):
+            aber_wsc2(ClosedFormContext(*gbars))
+        assert SCHEMES[SchemeId.WSC2].closed_form(1.0, ClosedFormContext(*gbars)) is None
 
     def test_warning_names_the_first_caller_outside_the_package(self):
         # Not the package line that passed the call on (the WSC2 lambda of

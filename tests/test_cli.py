@@ -81,6 +81,13 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "gamma_bar_1 must be positive" in proc.stderr
 
+    def test_non_finite_wsc2_is_usage_error(self):
+        # gamma_bar_1 = 1e-307 puts phi = gamma_bar_2/gamma_bar_1 at 1e308, where the closed form is nan.
+        proc = run_cli(["analyze", "--scheme", "wsc2", "--snr-db", "10", "--sigma1", "1e-308"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "aber_wsc2 at gamma_bar = (10, 1e-307, 10) is not finite" in proc.stderr
+
     def test_dead_link_wsc1_needs_fixed_beta(self):
         args = ["analyze", "--scheme", "wsc1", "--snr-db", "10", "--sigma2", "0"]
         proc = run_cli(args)

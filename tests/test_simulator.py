@@ -166,6 +166,32 @@ class TestChunkWorkspace:
             tracemalloc.stop()
         assert after - before < 64 << 10
 
+    def test_reused_workspace_rebuilds_rows_when_live_links_change(self):
+        # The draw buffers keep per-block row views for one live-link count.
+        # One workspace serves 3, 2 and 1 live links in turn (and 3 again),
+        # at two chunk lengths; every chunk must be what a fresh workspace gives.
+        cases = [(count, sigma_sq) for count in (48, 37)
+                 for sigma_sq in ((1.0, 2.0, 0.5), (1.0, 0.0, 0.5), (0.0, 0.0, 3.0), (1.0, 2.0, 0.5))]
+
+        def chunk(count, sigma_sq):
+            params = SystemParams(p0_over_n0_db=10.0, sigma_sq=sigma_sq, block_len=4)
+            return simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, 9, 100, count)
+
+        fresh = []
+        for case in cases:
+            simulator._local.workspace = None
+            fresh.append(chunk(*case))
+        simulator._local.workspace = None
+        try:
+            reused, workspaces = [], []
+            for case in cases:
+                reused.append(chunk(*case))
+                workspaces.append(simulator._local.workspace)
+        finally:
+            simulator._local.workspace = None
+        assert len({id(ws) for ws in workspaces[:4]}) == 1  # one workspace per chunk length
+        assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
     def test_threads_keep_their_own_workspace(self):
         # Two threads per case, more threads than cores.  The two cases have
         # the same chunk shape (64 blocks of 16 bits), so buffers shared

@@ -88,3 +88,35 @@ def test_zero_relay_snr_is_a_point_mass():
     ctx = ClosedFormContext(3.0, 0.0, 2.0)
     assert aber_wsc1_by_integration(0.7, ctx) == pytest.approx(aber_wsc1(0.7, ctx), rel=1e-9)
     assert aber_wsc2_by_integration(ctx) == pytest.approx(1 / (2 * ctx.u0), rel=1e-12)
+
+
+@pytest.mark.parametrize("gb", [(1e-3, 1e-295, 1e2), (1e-3, 1e-300, 1e2), (1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
+def test_degenerate_relay_links_give_the_direct_link_alone(gb):
+    # gbar1 so small that beta = gamma1/gbar2 never matters, or a dead R-D
+    # link, which the simulator also leaves to the direct link.
+    ctx = ClosedFormContext(*gb)
+    assert aber_wsc2_by_integration(ctx) == pytest.approx(1 / (2 * ctx.u0), rel=1e-12)
+
+
+def test_subnormal_gamma_bar_is_value_error():
+    with pytest.raises(ValueError, match="gamma_bar 1e-310 is subnormal"):
+        aber_wsc2_by_integration(ClosedFormContext(1e-3, 1e-310, 1e2))
+
+
+@pytest.mark.parametrize("gb", [(1e4, 1e-3, 1e4), (10.0, 5.0, 1.0), (0.3, 2.0, 3e3)])
+def test_conditional_aber_on_a_block_matches_per_node_calls(monkeypatch, gb):
+    # One panel of gamma1 nodes across the beta kink at gbar2.  The block
+    # shares one t rule, spanning the union of its nodes' scales: on that
+    # rule each node is its own call to 1e-15, and on the node's own rule to
+    # well within the oracle's accuracy.
+    ctx = ClosedFormContext(*gb)
+    g1 = ctx.gbar2 * np.geomspace(0.6, 1.6, 16)
+    beta = np.minimum(1.0, g1 / ctx.gbar2)
+    block = validation._conditional_aber(beta, g1, ctx)
+    assert block.shape == (16,)
+    own_rules = [validation._conditional_aber(b, g, ctx) for b, g in zip(beta.tolist(), g1.tolist())]
+    assert np.allclose(block, own_rules, rtol=1e-12, atol=0.0)
+    shared = validation._t_rule(beta, ctx)
+    monkeypatch.setattr(validation, "_t_rule", lambda beta, ctx: shared)
+    nodes = [validation._conditional_aber(b, g, ctx) for b, g in zip(beta.tolist(), g1.tolist())]
+    assert np.allclose(block, nodes, rtol=1e-15, atol=0.0)
