@@ -10,7 +10,7 @@ this order:
 1. two standard normals, real part then imaginary part, for each of the
    links S-D, S-R, R-D whose variance is nonzero, scaled afterwards by
    sqrt(sigma_i^2 / 2); a zero-variance link draws nothing and its gain is 0;
-2. ``random(L)``, whose entries below 0.5 are the -1 data bits;
+2. ``random(L)``; a data bit is ``uniform >= 0.5``, True for +1;
 3. ``standard_normal((3, L + 1, 2))``, the real and imaginary parts of the
    S-D, S-R and R-D noise, scaled afterwards by sqrt(1/2).
 
@@ -20,6 +20,9 @@ computes many blocks' keys at once with a vectorized transcription of
 numpy's SeedSequence hash, and ``sample_blocks``, the one draw path (one
 block is stream_ids ``[b]``), draws from one reused generator reset to
 each block's key; both give exactly the numbers of ``derive_stream``.
+``sample_blocks`` returns finished draws: the gains, the boolean data bits
+and the complex noise, with every step above applied, so this module is
+the only one that knows the contract.
 ``sample_blocks`` can write into caller-owned draw buffers (``out``, a
 ``_DrawBuffers``), so the simulator's chunk kernel draws every chunk into
 the same per-thread buffers instead of fresh ones.  Those buffers also keep
@@ -143,17 +146,19 @@ def _live_links(sigma_sq) -> list[int]:
 class _DrawBuffers:
     """Draw arrays for count blocks of block_len bits, refilled by every sample_blocks call.
 
-    Besides the gains h (count, 3), the bit uniforms (count, L) and the
-    noise normals (count, 3, L+1, 2), it holds what the per-block loop would
-    otherwise rebuild on every call: the fading normals (count, live links,
-    2), one Philox generator with the state dict that resets it, and each
-    block's (fading, bits, noise) row views.  The fading normals and the
-    rows are made for one live-link count and remade when it changes.
+    Besides the gains h (count, 3), the bit uniforms (count, L), the data
+    bits they make (count, L) and the noise normals (count, 3, L+1, 2), it
+    holds what the per-block loop would otherwise rebuild on every call:
+    the fading normals (count, live links, 2), one Philox generator with the
+    state dict that resets it, and each block's (fading, uniforms, noise)
+    row views.  The fading normals and the rows are made for one live-link
+    count and remade when it changes.
     """
 
     def __init__(self, count: int, block_len: int) -> None:
         self.h = np.empty((count, 3), dtype=complex)
-        self.bits = np.empty((count, block_len))
+        self.uniforms = np.empty((count, block_len))
+        self.tx_bits = np.empty((count, block_len), dtype=bool)
         self.noise = np.empty((count, 3, block_len + 1, 2))
         self.rng = np.random.Generator(np.random.Philox(key=0))
         self.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -162,10 +167,10 @@ class _DrawBuffers:
         self.rows = []
 
     def rows_for(self, n_live: int) -> list:
-        """The per-block (fading, bits, noise) views, with n_live links' fading normals."""
+        """The per-block (fading, uniforms, noise) views, with n_live links' fading normals."""
         if self.fading is None or self.fading.shape[1] != n_live:
             self.fading = np.empty((len(self.h), n_live, 2))
-            self.rows = list(zip(self.fading, self.bits, self.noise))
+            self.rows = list(zip(self.fading, self.uniforms, self.noise))
         return self.rows
 
 
@@ -183,25 +188,29 @@ def sample_blocks(seed: int, stream_ids, sigma_sq, block_len: int, out: _DrawBuf
 
     One Philox generator is reset to each block's (key, counter 0) through
     its public state before that block's three draws, made straight into
-    the block's prebuilt rows.  Returns the gains (count, 3), the bit
-    uniforms (count, L) and the unscaled noise normals (count, 3, L+1, 2),
-    all arrays of the draw buffers: fresh ones, or ``out``, a
-    ``_DrawBuffers`` of exactly count blocks of block_len bits that the
-    caller keeps from one call to the next.
+    the block's prebuilt rows; steps 2 and 3 of the stream contract then
+    finish them for the whole batch.  Returns the gains h (count, 3), the
+    boolean data bits tx_bits (count, L), True for +1, and the complex
+    noise (count, 3, L+1) of the S-D, S-R and R-D links, all arrays of the
+    draw buffers: fresh ones, or ``out``, a ``_DrawBuffers`` of exactly
+    count blocks of block_len bits that the caller keeps from one call to
+    the next.
     """
     keys = stream_keys(seed, stream_ids)
     live = _live_links(sigma_sq)
     buf = _DrawBuffers(len(keys), block_len) if out is None else out
-    if buf.bits.shape != (len(keys), block_len):
-        raise ValueError(f"out holds {buf.bits.shape} blocks x bits, not {(len(keys), block_len)}")
+    if buf.tx_bits.shape != (len(keys), block_len):
+        raise ValueError(f"out holds {buf.tx_bits.shape} blocks x bits, not {(len(keys), block_len)}")
     rows = buf.rows_for(len(live))
     rng, state = buf.rng, buf.state
     philox, key = rng.bit_generator, state["state"]["key"]
     normal, uniform = rng.standard_normal, rng.random
-    for block_key, (fading, bits, noise) in zip(keys.tolist(), rows):
+    for block_key, (fading, uniforms, noise) in zip(keys.tolist(), rows):
         key[:] = block_key
         philox.state = state
         normal(out=fading)
-        uniform(out=bits)
+        uniform(out=uniforms)
         normal(out=noise)
-    return _gains(live, buf.fading, sigma_sq, buf.h), buf.bits, buf.noise
+    tx_bits = np.greater_equal(buf.uniforms, 0.5, out=buf.tx_bits)
+    buf.noise *= np.sqrt(0.5)
+    return _gains(live, buf.fading, sigma_sq, buf.h), tx_bits, buf.noise.view(complex)[..., 0]

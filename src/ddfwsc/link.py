@@ -5,14 +5,15 @@ maps to the transmit power P0 = 10**(dB/10).  Each block carries one
 reference symbol s(0) = 1 plus L data symbols.  A bit is a boolean, True
 for +1, from the draws to the error count; only symbols are float +/-1.
 
-``simulate_blocks`` runs a batch of blocks from their draws through
-``_simulate_into``, the one link pass.  That pass writes every
-block-sized intermediate (bits, symbols, received signals, decision
-variables) into a ``_LinkBuffers`` set: fresh for a ``simulate_blocks``
-call, or the set the simulator's chunk kernel keeps per thread, so that a
-chunk allocates nothing large.  ``diff_encode``, ``decision_variables``,
-``relay_detect`` and ``estimate_relay_snr`` take optional destinations for
-that purpose; without them they return fresh arrays.
+``simulate_blocks`` is the one link pass: it runs a batch of blocks from
+their finished draws (``fading.sample_blocks``) and writes every
+block-sized intermediate (symbols, received signals, decision variables,
+relay decisions) into a ``_LinkBuffers`` set: fresh, or ``out``, the set
+the simulator's chunk kernel keeps per thread, so that a chunk allocates
+nothing large.  No stage writes its inputs.  ``diff_encode``,
+``decision_variables``, ``relay_detect`` and ``estimate_relay_snr`` take
+optional destinations for that purpose; without them they return fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -93,23 +94,17 @@ class BlockObservables:
     tx_bits: np.ndarray
 
 
-@dataclass(frozen=True)
 class _LinkBuffers:
-    """The block-sized arrays one link pass over N blocks of L bits writes."""
+    """The block-sized arrays one link pass over count blocks of block_len bits writes."""
 
-    tx: np.ndarray  # (N, L) bool: the data bits
-    relay: np.ndarray  # (N, L) bool: the relay's decisions
-    signs: np.ndarray  # (N, L) float: the +/-1 bits diff_encode multiplies up
-    symbols: np.ndarray  # (N, L+1) float: the source's, then the relay's symbols
-    y: np.ndarray  # (2, N, L+1) complex: received signals, each reused once its xi is taken
-    xi: np.ndarray  # (3, N, L) complex: products y(k) y*(k-1) of the direct, relay and LAR branches
-
-    @classmethod
-    def empty(cls, count: int, block_len: int) -> "_LinkBuffers":
-        return cls(tx=np.empty((count, block_len), dtype=bool), relay=np.empty((count, block_len), dtype=bool),
-                   signs=np.empty((count, block_len)), symbols=np.empty((count, block_len + 1)),
-                   y=np.empty((2, count, block_len + 1), dtype=complex),
-                   xi=np.empty((3, count, block_len), dtype=complex))
+    def __init__(self, count: int, block_len: int) -> None:
+        self.relay = np.empty((count, block_len), dtype=bool)  # the relay's decisions
+        self.signs = np.empty((count, block_len))  # the +/-1 bits diff_encode multiplies up
+        self.symbols = np.empty((count, block_len + 1))  # the source's, then the relay's symbols
+        # Received signals, each reused once its xi is taken, and the products
+        # y(k) y*(k-1) of the direct, relay and LAR branches.
+        self.y = np.empty((2, count, block_len + 1), dtype=complex)
+        self.xi = np.empty((3, count, block_len), dtype=complex)
 
 
 def diff_encode(bits: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -173,24 +168,6 @@ def estimate_relay_snr(y1: np.ndarray, work=None):
     return np.maximum(0.0, energy / y1.shape[-1] - 1.0)
 
 
-def simulate_blocks(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray,
-                    noise_normals: np.ndarray) -> BlockObservables:
-    """Run a batch of fading blocks end to end from their draws.
-
-    h (N, 3) holds the S-D, S-R and R-D gains, bit_uniforms (N, L) the
-    uniforms that make the data bits, noise_normals (N, 3, L+1, 2) the
-    unit normals of the three noise vectors (see ``fading`` for the order
-    they are drawn in).  Every field of the result has the batch as its
-    first axis.  The inputs are left as they are.
-
-    The LAR observables reuse the same h2 and n2 realizations with the
-    relay transmit power scaled by the link-adaptive factor, so scheme
-    comparisons on one block are paired.
-    """
-    return _simulate_into(params, h, bit_uniforms, np.array(noise_normals, dtype=float),
-                          _LinkBuffers.empty(len(h), params.block_len))
-
-
 def _received(gain: np.ndarray, symbols: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
     """y = gain * s + n for a batch, gain (N,) per block, written into out."""
     np.multiply(gain[:, None], symbols, out=out)
@@ -198,24 +175,28 @@ def _received(gain: np.ndarray, symbols: np.ndarray, noise: np.ndarray, out: np.
     return out
 
 
-def _simulate_into(params: SystemParams, h: np.ndarray, bit_uniforms: np.ndarray,
-                   noise_normals: np.ndarray, buf: _LinkBuffers) -> BlockObservables:
-    """The link pass of simulate_blocks, writing into buf.
+def simulate_blocks(params: SystemParams, h: np.ndarray, tx_bits: np.ndarray, noise: np.ndarray,
+                    out: _LinkBuffers | None = None) -> BlockObservables:
+    """Run a batch of fading blocks end to end from their draws.
 
-    noise_normals must be C-contiguous float; it is scaled in place to the
-    noise.  The arrays of the result are views of buf.
+    h (N, 3) holds the S-D, S-R and R-D gains, tx_bits (N, L) the boolean
+    data bits and noise (N, 3, L+1) the complex noise of the three links,
+    as ``fading.sample_blocks`` returns them; they are read, never written.
+    Every field of the result has the batch as its first axis; tx_bits is
+    the input, and xi0, xi2, xiL and relay_bits are views of ``out``, a
+    ``_LinkBuffers`` of N blocks of L bits (fresh when not given).
+
+    The LAR observables reuse the same h2 and n2 realizations with the
+    relay transmit power scaled by the link-adaptive factor, so scheme
+    comparisons on one block are paired.
     """
+    buf = _LinkBuffers(len(h), params.block_len) if out is None else out
     p0 = params.p0
     sqrt_p0 = np.sqrt(p0)
     h0, h1, h2 = h.T
-
-    tx_bits = np.greater_equal(bit_uniforms, 0.5, out=buf.tx)
-    s = diff_encode(tx_bits, out=buf.symbols, work=buf.signs)
-
-    noise_normals *= np.sqrt(0.5)
-    noise = noise_normals.view(complex)[..., 0]
     n0, n1, n2 = noise[:, 0], noise[:, 1], noise[:, 2]
 
+    s = diff_encode(tx_bits, out=buf.symbols, work=buf.signs)
     xi0 = decision_variables(_received(sqrt_p0 * h0, s, n0, buf.y[0]), out=buf.xi[0])
     y1 = _received(sqrt_p0 * h1, s, n1, buf.y[1])
 

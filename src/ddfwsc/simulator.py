@@ -7,8 +7,8 @@ works on a chunk of consecutive blocks at once: it hashes the chunk's
 Philox keys in numpy, draws each block from one reused generator reset to
 that block's key, runs the link for the whole chunk and calls each
 scheme's combiner once, with a per-block weight array for WSC2.  Errors
-are counted on boolean decisions (decision is +1) against the link's
-boolean data bits (uniform >= 0.5).
+are counted on boolean decisions (decision is +1) against the data bits
+that ``fading.sample_blocks`` draws.
 
 A chunk allocates nothing large: its draws, symbols, received signals,
 decision variables and decisions go into a ``_Workspace`` that each
@@ -54,7 +54,7 @@ from . import analysis
 from .analysis import ClosedFormContext
 from .combiners import SCHEMES, SchemeId, lar_bits, wsc_bits
 from .fading import _DrawBuffers, sample_blocks
-from .link import SystemParams, _LinkBuffers, _simulate_into
+from .link import SystemParams, _LinkBuffers, simulate_blocks
 # Not called here any more; perfbench/tracing.py wraps them under this module's names.
 from .fading import derive_stream  # noqa: F401
 from .link import simulate_block  # noqa: F401
@@ -145,7 +145,7 @@ class _Workspace:
     def __init__(self, count: int, block_len: int) -> None:
         self.shape = (count, block_len)
         self.draws = _DrawBuffers(count, block_len)
-        self.link = _LinkBuffers.empty(count, block_len)
+        self.link = _LinkBuffers(count, block_len)
         self.work = (np.empty(self.shape), np.empty(self.shape))
         self.decision = np.empty(self.shape, dtype=bool)
 
@@ -166,9 +166,9 @@ def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
                   start: int, count: int) -> np.ndarray:
     """Per-block error counts for blocks [start, start+count), shape (count, n_schemes)."""
     ws = _workspace(count, params.block_len)
-    h, uniforms, noise = sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
-                                       params.sigma_sq, params.block_len, out=ws.draws)
-    obs = _simulate_into(params, h, uniforms, noise, ws.link)
+    draws = sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
+                          params.sigma_sq, params.block_len, out=ws.draws)
+    obs = simulate_blocks(params, *draws, out=ws.link)
     out = np.empty((count, len(schemes)), dtype=np.int64)
     for j, scheme in enumerate(schemes):
         weight = SCHEMES[scheme].weight

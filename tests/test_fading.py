@@ -51,15 +51,19 @@ def test_stream_keys_match_seed_sequence():
 
 def test_sample_blocks_follow_derive_stream():
     # Each block's draws are those of its own derive_stream generator, in
-    # contract order: 2 normals per live link, random(L), the noise normals.
+    # contract order: 2 normals per live link, random(L), the noise normals,
+    # finished bit for bit as the contract says: a bit is uniform >= 0.5,
+    # the noise the normals scaled by sqrt(1/2), read as complex.
     sigma_sq, L = (2.0, 0.0, 0.5), 3
     h, bits, noise = sample_blocks(4, [7, 8], sigma_sq, L)
+    assert bits.dtype == bool and noise.shape == (2, 3, L + 1)
     for row, b in enumerate((7, 8)):
         rng = derive_stream(4, b)
         h0, h1, h2 = sample_fading_block(rng, sigma_sq)
         assert h[row].tolist() == [h0, h1, h2]
-        assert np.array_equal(bits[row], rng.random(L))
-        assert np.array_equal(noise[row], rng.standard_normal((3, L + 1, 2)))
+        assert np.array_equal(bits[row], rng.random(L) >= 0.5)
+        expected = (rng.standard_normal((3, L + 1, 2)) * np.sqrt(0.5)).view(complex)[..., 0]
+        assert np.array_equal(noise[row], expected)
 
 
 def test_zero_variance_degenerates():

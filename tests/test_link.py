@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from ddfwsc.combiners import lar_bits, wsc_bits
 from ddfwsc.fading import sample_blocks
 from ddfwsc.link import (
     SystemParams,
+    _LinkBuffers,
     decision_variables,
     diff_encode,
     estimate_relay_snr,
@@ -198,6 +199,22 @@ class TestSimulateBlock:
         emp = np.arange(1, x.size + 1) / x.size
         sup = np.max(np.abs(emp - cdf_xi0(x, ctx)))
         assert sup < 0.01
+
+    def test_reused_out_matches_fresh_and_leaves_draws_unchanged(self):
+        # One _LinkBuffers set serves batch after batch with the observables
+        # of a fresh call, and neither call writes the draws it is given.
+        for mode in ("exact", "estimated"):
+            params = SystemParams(p0_over_n0_db=7.0, block_len=5, snr_mode=mode)
+            out = _LinkBuffers(3, params.block_len)
+            for seed in (1, 2):
+                draws = sample_blocks(seed, np.arange(3), params.sigma_sq, params.block_len)
+                before = [a.copy() for a in draws]
+                fresh = simulate_blocks(params, *draws)
+                reused = simulate_blocks(params, *draws, out=out)
+                for f in fields(fresh):
+                    assert np.array_equal(getattr(reused, f.name), getattr(fresh, f.name)), f.name
+                for a, b in zip(draws, before):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_lar_equals_relay_branch_when_beta_one(self):
         # Huge gamma1 saturates the LAR factor at 1, so the LAR branch must

@@ -7,6 +7,8 @@ Each must match the closed form to criterion 1's 1e-4, and the oracle's own
 error (the change when its panels are halved) must be far below that.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,19 @@ def test_degenerate_relay_links_give_the_direct_link_alone(gb):
     # link, which the simulator also leaves to the direct link.
     ctx = ClosedFormContext(*gb)
     assert aber_wsc2_by_integration(ctx) == pytest.approx(1 / (2 * ctx.u0), rel=1e-12)
+
+
+@pytest.mark.parametrize("gb, expected", [((1.0, 1.0, 1e300), 0.180670015021648),
+                                          ((1e300, 1.0, 1.0), 2.3756397860454052e-301)])
+def test_huge_gamma_bar_is_finite_and_quiet(gb, expected):
+    # A huge gbar2 makes beta = gamma1/gbar2 subnormal, a huge gbar0 takes t
+    # to 1e301, and either way t/beta overflows: the oracle must neither fail
+    # nor warn.  The references are its values
+    # at 1e200, where the first has converged (1e200 to 1e280 agree to 1e-14)
+    # and the second scales as 1/gbar0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert aber_wsc2_by_integration(ClosedFormContext(*gb)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_subnormal_gamma_bar_is_value_error():
