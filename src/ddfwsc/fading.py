@@ -23,11 +23,12 @@ each block's key; both give exactly the numbers of ``derive_stream``.
 ``sample_blocks`` returns finished draws: the gains, the boolean data bits
 and the complex noise, with every step above applied, so this module is
 the only one that knows the contract.
-``sample_blocks`` can write into caller-owned draw buffers (``out``, a
-``_DrawBuffers``), so the simulator's chunk kernel draws every chunk into
-the same per-thread buffers instead of fresh ones.  Those buffers also keep
-the generator, its reset state and every block's row views from one chunk
-to the next, so the per-block loop only sets the key, resets the state
+``sample_blocks`` can write into the leading rows of caller-owned draw
+buffers (``out``, a ``_DrawBuffers`` of at least as many blocks), so the
+simulator's chunk kernel draws every chunk, a run's shorter last chunk
+too, into the same per-thread buffers instead of fresh ones.  Those
+buffers also keep the generator, its reset state and every block's row
+views from one chunk to the next, so the per-block loop only sets the key, resets the state
 and makes its three draws: numpy's per-call cost is then most of what is
 left (about 5.5 of 6.5 us a block at L = 4 on a 2-vCPU host).
 ``sample_fading_block`` transcribes step 1 for one block and is the
@@ -144,7 +145,7 @@ def _live_links(sigma_sq) -> list[int]:
 
 
 class _DrawBuffers:
-    """Draw arrays for count blocks of block_len bits, refilled by every sample_blocks call.
+    """Draw arrays for up to count blocks of block_len bits; each sample_blocks call refills its leading rows.
 
     Besides the gains h (count, 3), the bit uniforms (count, L), the data
     bits they make (count, L) and the noise normals (count, 3, L+1, 2), it
@@ -192,15 +193,17 @@ def sample_blocks(seed: int, stream_ids, sigma_sq, block_len: int, out: _DrawBuf
     finish them for the whole batch.  Returns the gains h (count, 3), the
     boolean data bits tx_bits (count, L), True for +1, and the complex
     noise (count, 3, L+1) of the S-D, S-R and R-D links, all arrays of the
-    draw buffers: fresh ones, or ``out``, a ``_DrawBuffers`` of exactly
-    count blocks of block_len bits that the caller keeps from one call to
-    the next.
+    draw buffers: fresh ones, or the leading count rows of ``out``, a
+    ``_DrawBuffers`` of at least count blocks of block_len bits that the
+    caller keeps from one call to the next.
     """
     keys = stream_keys(seed, stream_ids)
     live = _live_links(sigma_sq)
-    buf = _DrawBuffers(len(keys), block_len) if out is None else out
-    if buf.tx_bits.shape != (len(keys), block_len):
-        raise ValueError(f"out holds {buf.tx_bits.shape} blocks x bits, not {(len(keys), block_len)}")
+    n = len(keys)
+    buf = _DrawBuffers(n, block_len) if out is None else out
+    held = buf.tx_bits.shape
+    if held[1] != block_len or held[0] < n:
+        raise ValueError(f"out holds {held} blocks x bits, not at least {n} blocks of {block_len}")
     rows = buf.rows_for(len(live))
     rng, state = buf.rng, buf.state
     philox, key = rng.bit_generator, state["state"]["key"]
@@ -211,6 +214,7 @@ def sample_blocks(seed: int, stream_ids, sigma_sq, block_len: int, out: _DrawBuf
         normal(out=fading)
         uniform(out=uniforms)
         normal(out=noise)
-    tx_bits = np.greater_equal(buf.uniforms, 0.5, out=buf.tx_bits)
-    buf.noise *= np.sqrt(0.5)
-    return _gains(live, buf.fading, sigma_sq, buf.h), tx_bits, buf.noise.view(complex)[..., 0]
+    tx_bits = np.greater_equal(buf.uniforms[:n], 0.5, out=buf.tx_bits[:n])
+    noise = buf.noise[:n]
+    noise *= np.sqrt(0.5)
+    return _gains(live, buf.fading[:n], sigma_sq, buf.h[:n]), tx_bits, noise.view(complex)[..., 0]

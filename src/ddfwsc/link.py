@@ -8,12 +8,12 @@ for +1, from the draws to the error count; only symbols are float +/-1.
 ``simulate_blocks`` is the one link pass: it runs a batch of blocks from
 their finished draws (``fading.sample_blocks``) and writes every
 block-sized intermediate (symbols, received signals, decision variables,
-relay decisions) into a ``_LinkBuffers`` set: fresh, or ``out``, the set
-the simulator's chunk kernel keeps per thread, so that a chunk allocates
-nothing large.  No stage writes its inputs.  ``diff_encode``,
-``decision_variables``, ``relay_detect`` and ``estimate_relay_snr`` take
-optional destinations for that purpose; without them they return fresh
-arrays.
+relay decisions) into a ``_LinkBuffers`` set: fresh, or the leading rows
+of ``out``, the set the simulator's chunk kernel keeps per thread, so that
+a chunk allocates nothing large.  No stage writes its inputs.
+``diff_encode``, ``decision_variables``, ``relay_detect`` and
+``estimate_relay_snr`` take optional destinations for that purpose;
+without them they return fresh arrays.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class BlockObservables:
 
 
 class _LinkBuffers:
-    """The block-sized arrays one link pass over count blocks of block_len bits writes."""
+    """The block-sized arrays a link pass over up to count blocks of block_len bits writes."""
 
     def __init__(self, count: int, block_len: int) -> None:
         self.relay = np.empty((count, block_len), dtype=bool)  # the relay's decisions
@@ -183,41 +183,45 @@ def simulate_blocks(params: SystemParams, h: np.ndarray, tx_bits: np.ndarray, no
     data bits and noise (N, 3, L+1) the complex noise of the three links,
     as ``fading.sample_blocks`` returns them; they are read, never written.
     Every field of the result has the batch as its first axis; tx_bits is
-    the input, and xi0, xi2, xiL and relay_bits are views of ``out``, a
-    ``_LinkBuffers`` of N blocks of L bits (fresh when not given).
+    the input, and xi0, xi2, xiL and relay_bits are views of the leading N
+    rows of ``out``, a ``_LinkBuffers`` of at least N blocks of L bits
+    (fresh when not given).
 
     The LAR observables reuse the same h2 and n2 realizations with the
     relay transmit power scaled by the link-adaptive factor, so scheme
     comparisons on one block are paired.
     """
-    buf = _LinkBuffers(len(h), params.block_len) if out is None else out
+    n = len(h)
+    buf = _LinkBuffers(n, params.block_len) if out is None else out
+    relay, signs, symbols = buf.relay[:n], buf.signs[:n], buf.symbols[:n]
+    y, xi = buf.y[:, :n], buf.xi[:, :n]
     p0 = params.p0
     sqrt_p0 = np.sqrt(p0)
     h0, h1, h2 = h.T
     n0, n1, n2 = noise[:, 0], noise[:, 1], noise[:, 2]
 
-    s = diff_encode(tx_bits, out=buf.symbols, work=buf.signs)
-    xi0 = decision_variables(_received(sqrt_p0 * h0, s, n0, buf.y[0]), out=buf.xi[0])
-    y1 = _received(sqrt_p0 * h1, s, n1, buf.y[1])
+    s = diff_encode(tx_bits, out=symbols, work=signs)
+    xi0 = decision_variables(_received(sqrt_p0 * h0, s, n0, y[0]), out=xi[0])
+    y1 = _received(sqrt_p0 * h1, s, n1, y[1])
 
-    relay_bits = relay_detect(y1, out=buf.relay, work=buf.xi[2])
+    relay_bits = relay_detect(y1, out=relay, work=xi[2])
     if params.snr_mode == "exact":
         gamma1 = p0 * (h1.real ** 2 + h1.imag ** 2)
     else:
-        gamma1 = estimate_relay_snr(y1, work=buf.y[0])
-    s_hat = diff_encode(relay_bits, out=buf.symbols, work=buf.signs)
+        gamma1 = estimate_relay_snr(y1, work=y[0])
+    s_hat = diff_encode(relay_bits, out=symbols, work=signs)
 
-    xi2 = decision_variables(_received(sqrt_p0 * h2, s_hat, n2, buf.y[0]), out=buf.xi[1])
+    xi2 = decision_variables(_received(sqrt_p0 * h2, s_hat, n2, y[0]), out=xi[1])
 
     gbar2 = p0 * params.sigma_sq[2]
     # A dead relay link (gbar2 = 0) degenerates to direct-only decisions.
-    beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else np.zeros(len(h))
-    yL = _received(np.sqrt(beta_adaptive) * sqrt_p0 * h2, s_hat, n2, buf.y[1])
+    beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else np.zeros(n)
+    yL = _received(np.sqrt(beta_adaptive) * sqrt_p0 * h2, s_hat, n2, y[1])
 
     return BlockObservables(
         xi0=xi0,
         xi2=xi2,
-        xiL=decision_variables(yL, out=buf.xi[2]),
+        xiL=decision_variables(yL, out=xi[2]),
         gamma1=gamma1,
         beta_adaptive=beta_adaptive,
         relay_bits=relay_bits,

@@ -13,7 +13,9 @@ that ``fading.sample_blocks`` draws.
 A chunk allocates nothing large: its draws, symbols, received signals,
 decision variables and decisions go into a ``_Workspace`` that each
 thread keeps from one chunk to the next (``threading.local``), for one
-chunk shape at a time.  At L = 256 it is about 2.9 MB; no returned array
+block length at a time.  A chunk uses the workspace's leading rows, so a
+run's shorter last chunk reuses the workspace its full chunks built.  At
+L = 256 it is about 2.9 MB, at L = 4 about 1.4 MB; no returned array
 aliases it.  An in-process ``run_simulation`` releases its thread's
 workspace when it returns; a pool worker keeps its own until the pool
 shuts down.  Fresh temporaries every chunk cost more than the arithmetic
@@ -22,7 +24,7 @@ chunk page-faulted them back in.  Every count is the same as with fresh
 arrays.
 
 A chunk is sized by work, not by block count (``_chunk_len``): as many
-blocks as fit in 4096 channel uses, but at least 64, so short blocks do
+blocks as fit in 8192 channel uses, but at least 64, so short blocks do
 not pay the kernel's fixed per-call cost every 64 blocks.
 
 One dispatch (``_dispatch``) runs a single run and every point of a sweep
@@ -62,7 +64,7 @@ from .link import simulate_block  # noqa: F401
 __all__ = ["SimConfig", "BerEstimate", "SweepRecord", "run_simulation", "sweep", "wilson_interval"]
 
 _MIN_CHUNK = 64  # blocks
-_CHUNK_USES = 64 * 64  # channel uses: a 64-block chunk at L = 63 (L + 1 symbols a block)
+_CHUNK_USES = 64 * 128  # channel uses: a 64-block chunk at L = 127 (L + 1 symbols a block)
 _SWEEP_SEED_STRIDE = 10 ** 9
 
 
@@ -134,29 +136,30 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[
 def _chunk_len(block_len: int) -> int:
     """Blocks per kernel call: as many as fit in _CHUNK_USES channel uses, but at least _MIN_CHUNK.
 
-    Every block_len >= 63 keeps the 64-block chunk; L = 4 gets 819 blocks.
+    Every block_len >= 126 keeps the 64-block chunk; L = 64 gets 126 blocks
+    and L = 4 gets 1638.
     """
     return max(_MIN_CHUNK, _CHUNK_USES // (block_len + 1))
 
 
 class _Workspace:
-    """Every block-sized array of one chunk shape (count blocks of block_len bits)."""
+    """Every block-sized array of up to count blocks of block_len bits; a chunk uses the leading rows."""
 
     def __init__(self, count: int, block_len: int) -> None:
-        self.shape = (count, block_len)
+        self.count, self.block_len = count, block_len
         self.draws = _DrawBuffers(count, block_len)
         self.link = _LinkBuffers(count, block_len)
-        self.work = (np.empty(self.shape), np.empty(self.shape))
-        self.decision = np.empty(self.shape, dtype=bool)
+        self.work = np.empty((2, count, block_len))
+        self.decision = np.empty((count, block_len), dtype=bool)
 
 
 _local = threading.local()
 
 
 def _workspace(count: int, block_len: int) -> _Workspace:
-    """This thread's workspace, replaced when the chunk shape changes."""
+    """This thread's workspace, replaced when the block length changes or it holds fewer than count blocks."""
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.shape != (count, block_len):
+    if ws is None or ws.block_len != block_len or ws.count < count:
         _local.workspace = None  # free the old one before allocating the new
         ws = _local.workspace = _Workspace(count, block_len)
     return ws
@@ -169,14 +172,15 @@ def _chunk_errors(params: SystemParams, schemes, beta_wsc1: float, seed: int,
     draws = sample_blocks(seed, np.arange(start, start + count, dtype=np.uint64),
                           params.sigma_sq, params.block_len, out=ws.draws)
     obs = simulate_blocks(params, *draws, out=ws.link)
+    decision_buf, work = ws.decision[:count], ws.work[:, :count]
     out = np.empty((count, len(schemes)), dtype=np.int64)
     for j, scheme in enumerate(schemes):
         weight = SCHEMES[scheme].weight
         if weight is None:
-            decision = lar_bits(obs.xi0, obs.xiL, out=ws.decision, work=ws.work[0])
+            decision = lar_bits(obs.xi0, obs.xiL, out=decision_buf, work=work[0])
         else:
             decision = wsc_bits(obs.xi0, obs.xi2, weight(beta_wsc1, obs.beta_adaptive[:, None]),
-                                out=ws.decision, work=ws.work)
+                                out=decision_buf, work=work)
         out[:, j] = np.count_nonzero(np.not_equal(decision, obs.tx_bits, out=decision), axis=1)
     return out
 

@@ -84,10 +84,15 @@ def _t_rule(beta, ctx: ClosedFormContext) -> tuple[np.ndarray, np.ndarray]:
     """The rule over t in (0, inf) for integrands built from f_xi0, f_xiw and their CDFs.
 
     One rule serves every weight in beta: it spans the union of their scales.
+    An upper end that overflows is a ValueError.
     """
-    lo, hi = np.min(beta), np.max(beta)
+    lo, hi = float(np.min(beta)), float(np.max(beta))
     scales = (0.5, 0.5 * ctx.v0, 0.5 * lo, 0.5 * ctx.v2 * hi)
-    return _log_rule(max(1e-12 * min(scales), sys.float_info.min), 80.0 * max(scales))
+    end = 80.0 * max(scales)
+    if not math.isfinite(end):
+        raise ValueError(f"gamma_bar ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g}) is too large: "
+                         f"the t rule's upper end, 80 x max(1, v0, beta, beta v2) / 2, overflows")
+    return _log_rule(max(1e-12 * min(scales), sys.float_info.min), end)
 
 
 def _average_over_gamma1(fn, ctx: ClosedFormContext, split: float | None = None) -> float:
@@ -95,7 +100,8 @@ def _average_over_gamma1(fn, ctx: ClosedFormContext, split: float | None = None)
 
     fn takes an array of gamma1 nodes, one panel of the rule at a time, and
     returns its values there.  A gbar1 or gbar2 below the smallest normal
-    float is a ValueError: the lowest node would underflow.
+    float is a ValueError: the lowest node would underflow; so is a gbar1
+    whose highest node, 60 gbar1, overflows.
     """
     gbar1 = ctx.gbar1
     if gbar1 == 0:
@@ -104,6 +110,8 @@ def _average_over_gamma1(fn, ctx: ClosedFormContext, split: float | None = None)
     if smallest < sys.float_info.min:
         raise ValueError(f"gamma_bar {smallest:g} is subnormal: the gamma1 rule needs gbar1 and gbar2 "
                          f"to be 0 or at least {sys.float_info.min:g}")
+    if not math.isfinite(60.0 * gbar1):
+        raise ValueError(f"gamma_bar {gbar1:g} is too large: the gamma1 rule needs 60 x gbar1 to be finite")
     g1, w = _log_rule(1e-14 * smallest, 60.0 * gbar1, (1.0,) if split is None else (1.0, split))
     vals = np.concatenate([fn(panel) for panel in g1.reshape(-1, _GL_X.size)])
     return float(vals @ (w * np.exp(-g1 / gbar1))) / gbar1
@@ -115,8 +123,11 @@ def _conditional_aber(beta, g1, ctx: ClosedFormContext):
     Where beta * v2 < 2^-60 the relay branch moves the result by less than
     2^-59 relative (|Pe(beta) - Pe(0)| <= 2 beta E|xi2| / u0 <= beta v2 / u0,
     and Pe(0) = 1/(2 u0)), so there, as at beta = 0, the direct link is
-    always selected and the result is cdf_xi0(0).
+    always selected and the result is cdf_xi0(0).  A v0 = 1 + 2 gbar0 that
+    overflows is a ValueError.
     """
+    if not math.isfinite(ctx.v0):
+        raise ValueError(f"gamma_bar {ctx.gbar0:g} is too large: v0 = 1 + 2 gbar0 overflows")
     beta, g1 = np.broadcast_arrays(np.asarray(beta, dtype=float), np.asarray(g1, dtype=float))
     out = np.full(beta.shape, analysis.cdf_xi0(0.0, ctx))
     live = beta * ctx.v2 >= _NEGLIGIBLE

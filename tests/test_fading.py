@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ddfwsc.fading import derive_stream, sample_blocks, sample_fading_block, stream_keys
+from ddfwsc.fading import _DrawBuffers, derive_stream, sample_blocks, sample_fading_block, stream_keys
 
 # The distribution checks run on the gains of the batched draw path that
 # the simulator uses: blocks 0..10^6-1 of one seed at L = 1, drawn once
@@ -64,6 +64,22 @@ def test_sample_blocks_follow_derive_stream():
         assert np.array_equal(bits[row], rng.random(L) >= 0.5)
         expected = (rng.standard_normal((3, L + 1, 2)) * np.sqrt(0.5)).view(complex)[..., 0]
         assert np.array_equal(noise[row], expected)
+
+
+def test_sample_blocks_out_holds_at_least_count_blocks_of_block_len():
+    # A larger buffer is filled in its leading rows, over the stale draws of
+    # an earlier, longer call, exactly as fresh arrays would be; a buffer with
+    # too few blocks or another block length is refused.
+    sigma_sq, L = (2.0, 0.0, 0.5), 3
+    out = _DrawBuffers(5, L)
+    sample_blocks(1, np.arange(5), sigma_sq, L, out=out)
+    fresh = sample_blocks(4, [7, 8], sigma_sq, L)
+    got = sample_blocks(4, [7, 8], sigma_sq, L, out=out)
+    for a, b in zip(got, fresh):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    for bad in (_DrawBuffers(1, L), _DrawBuffers(5, L - 1), _DrawBuffers(5, L + 1)):
+        with pytest.raises(ValueError, match="out holds"):
+            sample_blocks(4, [7, 8], sigma_sq, L, out=bad)
 
 
 def test_zero_variance_degenerates():

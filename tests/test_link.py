@@ -216,6 +216,20 @@ class TestSimulateBlock:
                 for a, b in zip(draws, before):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    def test_larger_out_uses_its_leading_rows(self):
+        # A _LinkBuffers set of more blocks than the batch, holding an earlier
+        # batch's arrays, gives the observables of a fresh call in its leading rows.
+        for mode in ("exact", "estimated"):
+            params = SystemParams(p0_over_n0_db=7.0, block_len=5, snr_mode=mode)
+            out = _LinkBuffers(7, params.block_len)
+            simulate_blocks(params, *sample_blocks(1, np.arange(7), params.sigma_sq, 5), out=out)
+            draws = sample_blocks(2, np.arange(3), params.sigma_sq, 5)
+            fresh = simulate_blocks(params, *draws)
+            reused = simulate_blocks(params, *draws, out=out)
+            for f in fields(fresh):
+                got, want = np.asarray(getattr(reused, f.name)), np.asarray(getattr(fresh, f.name))
+                assert got.shape == want.shape and np.array_equal(got, want), f.name
+
     def test_lar_equals_relay_branch_when_beta_one(self):
         # Huge gamma1 saturates the LAR factor at 1, so the LAR branch must
         # reuse the relay-link observables bit for bit.

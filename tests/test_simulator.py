@@ -192,6 +192,32 @@ class TestChunkWorkspace:
         assert len({id(ws) for ws in workspaces[:4]}) == 1  # one workspace per chunk length
         assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
 
+    def test_run_with_a_shorter_last_chunk_builds_one_workspace(self, monkeypatch):
+        # An L = 4 run of one full chunk and a shorter last one: the last
+        # chunk works on the leading rows of the workspace the first built,
+        # and counts what a fresh workspace for each chunk counts.
+        params = SystemParams(p0_over_n0_db=10.0, block_len=4)
+        chunk = simulator._chunk_len(4)
+        cfg = SimConfig(params=params, schemes=_ALL_SCHEMES, beta_wsc1=0.5, max_blocks=chunk + 629,
+                        min_errors=0, seed=4)
+        fresh = []
+        for start in (0, chunk):
+            simulator._local.workspace = None
+            fresh.append(simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, 4, start,
+                                                 min(chunk, cfg.max_blocks - start)))
+        simulator._local.workspace = None
+        built = []
+
+        class Counting(simulator._Workspace):
+            def __init__(self, count, block_len):
+                built.append(count)
+                super().__init__(count, block_len)
+
+        monkeypatch.setattr(simulator, "_Workspace", Counting)
+        estimates = run_simulation(cfg)
+        assert built == [chunk]
+        assert [e.bit_errors for e in estimates] == np.concatenate(fresh).sum(axis=0).tolist()
+
     def test_threads_keep_their_own_workspace(self):
         # Two threads per case, more threads than cores.  The two cases have
         # the same chunk shape (64 blocks of 16 bits), so buffers shared
@@ -314,14 +340,15 @@ class TestRunSimulation:
             assert set(simulated[:-1]) <= {chunk}
             assert 0 <= sum(simulated) - used < (1 if workers == 1 else workers + 1) * chunk
 
-    def test_chunk_is_64_blocks_from_block_len_63(self):
-        for block_len in (63, 64, 65, 100, 128, 256, 1024, 10 ** 6):
+    def test_chunk_is_64_blocks_from_block_len_126(self):
+        for block_len in (126, 127, 128, 200, 256, 1024, 10 ** 6):
             assert simulator._chunk_len(block_len) == 64
-        # Shorter blocks get as many blocks as fit in 4096 channel uses (L + 1 per block).
-        for block_len in range(1, 63):
+        # Shorter blocks get as many blocks as fit in 8192 channel uses (L + 1 per block).
+        for block_len in range(1, 126):
             chunk = simulator._chunk_len(block_len)
             assert chunk > 64
-            assert chunk * (block_len + 1) <= 4096 < (chunk + 1) * (block_len + 1)
+            assert chunk * (block_len + 1) <= 8192 < (chunk + 1) * (block_len + 1)
+        assert simulator._chunk_len(4) == 1638 and simulator._chunk_len(64) == 126
 
     def test_chunk_length_does_not_change_estimates(self, monkeypatch):
         # An L = 4 run that stops mid-chunk on min_errors, with its own chunk

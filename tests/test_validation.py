@@ -118,6 +118,23 @@ def test_subnormal_gamma_bar_is_value_error():
         aber_wsc2_by_integration(ClosedFormContext(1e-3, 1e-310, 1e2))
 
 
+@pytest.mark.parametrize("gb", [(1.0, 1.0, 1e308), (1e308, 1.0, 1.0), (1.0, 1e308, 1.0)])
+def test_overflowing_gamma_bar_is_value_error(gb):
+    # v2, v0 or 60 gbar1 overflows: each oracle refuses it, naming gamma_bar,
+    # without a warning.  The WSC1 oracle has no gamma1 rule (its average is
+    # exact at log1p(gbar1)), so a huge gbar1 alone leaves it finite.
+    ctx = ClosedFormContext(*gb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma_bar .*1e\\+308.* is too large"):
+            aber_wsc2_by_integration(ctx)
+        if gb[1] == 1e308:
+            assert aber_wsc1_by_integration(1.0, ctx) == pytest.approx(0.15625, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match="gamma_bar .*1e\\+308.* is too large"):
+                aber_wsc1_by_integration(1.0, ctx)
+
+
 @pytest.mark.parametrize("gb", [(1e4, 1e-3, 1e4), (10.0, 5.0, 1.0), (0.3, 2.0, 3e3)])
 def test_conditional_aber_on_a_block_matches_per_node_calls(monkeypatch, gb):
     # One panel of gamma1 nodes across the beta kink at gbar2.  The block
