@@ -74,16 +74,18 @@ SCHEMES: dict[SchemeId, Scheme] = {
 
 
 def beta_wsc2(gamma1, gamma_bar2: float):
-    """Adaptive selection weight from the instantaneous source-relay SNR.
+    """Adaptive selection weight min(1, gamma1/gamma_bar2), of gamma1's shape.
 
     The same factor scales the relay's transmit power under LAR.  gamma1 = 0
-    legitimately yields beta = 0, which deterministically selects the
-    direct link.  gamma1 may be an array of per-block SNRs.
+    yields beta = 0, which deterministically selects the direct link; so does
+    a dead R-D link (gamma_bar2 = 0) for every block, where LAR's relay sends nothing.
     """
-    if gamma_bar2 <= 0:
-        raise ValueError(f"gamma_bar2 must be > 0, got {gamma_bar2}")
+    if gamma_bar2 < 0:
+        raise ValueError(f"gamma_bar2 must be >= 0, got {gamma_bar2}")
     if np.any(np.asarray(gamma1) < 0):
         raise ValueError(f"gamma1 must be >= 0, got {np.min(gamma1)}")
+    if gamma_bar2 == 0:
+        return np.zeros_like(gamma1, dtype=float)[()]
     return np.minimum(1.0, gamma1 / gamma_bar2)
 
 

@@ -213,9 +213,7 @@ def simulate_blocks(params: SystemParams, h: np.ndarray, tx_bits: np.ndarray, no
 
     xi2 = decision_variables(_received(sqrt_p0 * h2, s_hat, n2, y[0]), out=xi[1])
 
-    gbar2 = p0 * params.sigma_sq[2]
-    # A dead relay link (gbar2 = 0) degenerates to direct-only decisions.
-    beta_adaptive = beta_wsc2(gamma1, gbar2) if gbar2 > 0 else np.zeros(n)
+    beta_adaptive = beta_wsc2(gamma1, p0 * params.sigma_sq[2])
     yL = _received(np.sqrt(beta_adaptive) * sqrt_p0 * h2, s_hat, n2, y[1])
 
     return BlockObservables(

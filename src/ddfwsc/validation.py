@@ -53,6 +53,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import ClosedFormContext
+from .combiners import beta_wsc2
 
 __all__ = [
     "aber_wsc1_by_integration",
@@ -148,18 +149,15 @@ def aber_wsc1_by_integration(beta: float, ctx: ClosedFormContext) -> float:
 
 
 def aber_wsc2_by_integration(ctx: ClosedFormContext) -> float:
-    """Direct quadrature with the adaptive weight beta(gamma1) = min(1, gamma1/gbar2).
+    """Direct quadrature with the adaptive weight beta(gamma1) = combiners.beta_wsc2(gamma1, gbar2).
 
-    A dead R-D link (gbar2 = 0) has weight 0, as in the simulator: the direct
-    link decides alone.
+    Independent of the closed forms it checks, but not of the model's weight rule, which it
+    shares with the simulator: a dead R-D link (gbar2 = 0) has weight 0, so the direct link decides alone.
     """
-    gbar2 = ctx.gbar2
-
     def panel(g1):
-        beta = np.minimum(1.0, g1 / gbar2) if gbar2 > 0 else np.zeros_like(g1)
-        return _conditional_aber(beta, g1, ctx)
+        return _conditional_aber(beta_wsc2(g1, ctx.gbar2), g1, ctx)
 
-    return _average_over_gamma1(panel, ctx, split=gbar2)
+    return _average_over_gamma1(panel, ctx, split=ctx.gbar2)
 
 
 class CheckResult(NamedTuple):

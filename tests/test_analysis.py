@@ -273,6 +273,39 @@ class TestAberWsc1:
             with pytest.raises(ValueError):
                 aber_wsc1(beta, ctx)
 
+    @pytest.mark.parametrize("log_range", [(-300, 300, -300, 300), (-3, 160, -100, 100)])
+    def test_envelope_against_high_precision(self, log_range):
+        # Inside its envelope the float form agrees with a 50-digit evaluation of
+        # the same expression; outside it, it is a ValueError that names gamma_bar,
+        # never nan, an OverflowError or a Pe2 whose overflowed denominator reads 0.
+        g_lo, g_hi, b_lo, b_hi = log_range
+        rng = np.random.default_rng(20261020)
+        inside = 0
+        for _ in range(300):
+            gbars = tuple(float(g) for g in 10.0 ** rng.uniform(g_lo, g_hi, size=3))
+            beta = float(10.0 ** rng.uniform(b_lo, b_hi))
+            try:
+                got = aber_wsc1(beta, ClosedFormContext(*gbars))
+            except ValueError as exc:
+                assert "gamma_bar = (" in str(exc) and "overflows float64" in str(exc)
+                continue
+            inside += 1
+            with mpmath.workdps(50):
+                ref = _mp_aber_wsc1(beta, gbars)
+                assert abs(got - ref) <= 1e-9 * ref, (gbars, beta, got)
+        assert inside >= 30
+
+    def test_envelope_at_unit_variances(self):
+        # Exact to 510 dB; above, Pe2's denominator overflows (it read 0, then nan
+        # from about 700 dB, then OverflowError from v0 ** 2 at 1540 dB).
+        gbars = (10.0 ** 51,) * 3
+        with mpmath.workdps(50):
+            assert aber_wsc1(1.0, ClosedFormContext(*gbars)) == pytest.approx(float(_mp_aber_wsc1(1.0, gbars)),
+                                                                              rel=1e-12)
+        for db in (511.0, 700.0, 1540.0):
+            with pytest.raises(ValueError, match=r"aber_wsc1 at beta = 1, gamma_bar = \(1\.?\d*e\+\d+"):
+                aber_wsc1(1.0, ClosedFormContext.from_db(db))
+
 
 class TestAberWsc2:
     def test_monotone_in_power(self):
@@ -387,7 +420,7 @@ def _mp_aber_wsc1(beta, gbars):
     """The printed WSC1 expressions evaluated in mpmath at the working precision."""
     ctx = ClosedFormContext(*(mpmath.mpf(g) for g in gbars))
     beta = mpmath.mpf(beta)
-    return analysis._wsc1_pe1(beta, ctx) + analysis._wsc1_pe2(beta, ctx)
+    return sum(num / den for num, den in analysis._wsc1_terms(beta, ctx))
 
 
 def _mp_aber_wsc2(gbars):
@@ -423,11 +456,12 @@ def _mp_aber_wsc2(gbars):
         return l1 + l2 + k1 + k2
 
 
-def _mp_optimum(gbars):
-    """Minimum of the 50-digit ABER: a log-grid scan over [1e-15, 1e10], then
-    golden-section search in log beta between the neighbours of the best point."""
+def _mp_optimum(gbars, decades=(-15, 10)):
+    """Minimum of the 50-digit ABER: a log-grid scan over [1e-15, 1e10] (or the
+    given decades), then golden-section search in log beta between the
+    neighbours of the best point."""
     with mpmath.workdps(50):
-        grid = [mpmath.mpf(10) ** (mpmath.mpf(k) / 10) for k in range(-150, 101)]
+        grid = [mpmath.mpf(10) ** (mpmath.mpf(k) / 10) for k in range(10 * decades[0], 10 * decades[1] + 1)]
         vals = [_mp_aber_wsc1(b, gbars) for b in grid]
         k = min(range(len(vals)), key=vals.__getitem__)
         assert 0 < k < len(grid) - 1, "optimum outside the reference scan"
@@ -481,6 +515,35 @@ class TestOptimizeBeta:
         assert "no finite optimal" not in str(info.value)
         limit = 1 / (2 * ctx.u0)
         assert aber_wsc1(1e-3, ctx) == pytest.approx(limit, rel=1e-6)
+
+    @pytest.mark.parametrize("db", range(366, 379))
+    def test_matches_high_precision_optimum_at_extreme_snr(self, db):
+        # From 368 dB the roots of N'D - ND' alone lose or blur the optimum,
+        # beta* ~ 1/sqrt(2 gbar) ~ 1e-19: 368, 370 and 371 dB gave beta ~ 2e15, 376 dB
+        # beta = 2, 377 dB an ABER 10% high, and 369, 372, 374 and 378 dB raised.
+        ctx = ClosedFormContext.from_db(db)
+        beta_opt, pe_min = optimize_beta(ctx)
+        assert beta_opt == pytest.approx(1 / math.sqrt(2 * ctx.gbar0), rel=1e-6)
+        ref = _mp_optimum((ctx.gbar0, ctx.gbar1, ctx.gbar2), decades=(-21, -17))
+        assert abs(pe_min - ref) <= 1e-12 * ref
+
+    def test_optimum_or_value_error_above_1e15(self):
+        # Huge or very unequal gbar: each result is the 50-digit optimum to 1e-12, or
+        # a ValueError where the ABER is flat to float precision.
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 6:
+            gbars = tuple(float(g) for g in 10.0 ** rng.uniform(-3, 37, size=3))
+            if max(gbars) < 1e15:
+                continue
+            try:
+                beta_opt, pe_min = optimize_beta(ClosedFormContext(*gbars))
+            except ValueError as exc:
+                assert "lost to rounding" in str(exc)
+                continue
+            ref = _mp_optimum(gbars, decades=(-45, 25))
+            assert abs(pe_min - ref) <= 1e-12 * ref, gbars
+            checked += 1
 
     @pytest.mark.parametrize("db", [400.0, 3000.0])
     def test_overflowing_polynomial_says_so_without_warning(self, db):

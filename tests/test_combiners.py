@@ -69,9 +69,15 @@ class TestAdaptiveWeight:
     def test_zero_relay_snr(self):
         assert beta_wsc2(0.0, 4.0) == 0.0
 
+    def test_dead_relay_link(self):
+        # gamma_bar2 = 0: weight 0 for every block, in gamma1's shape.
+        assert beta_wsc2(2.0, 0.0) == 0.0 and np.shape(beta_wsc2(2.0, 0.0)) == ()
+        zeros = beta_wsc2(np.array([[0.0, 3.0, 1e300]]), 0.0)
+        assert zeros.shape == (1, 3) and zeros.dtype == float and not zeros.any()
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            beta_wsc2(1.0, 0.0)
+            beta_wsc2(1.0, -1.0)
         with pytest.raises(ValueError):
             beta_wsc2(-1.0, 4.0)
         with pytest.raises(ValueError):

@@ -152,3 +152,12 @@ def test_conditional_aber_on_a_block_matches_per_node_calls(monkeypatch, gb):
     monkeypatch.setattr(validation, "_t_rule", lambda beta, ctx: shared)
     nodes = [validation._conditional_aber(b, g, ctx) for b, g in zip(beta.tolist(), g1.tolist())]
     assert np.allclose(block, nodes, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: at 10 dB and L = 256 the bit-level Wilson interval is "
+                                       "about 6-7x too narrow, so SC's interval misses the closed form; item 4's "
+                                       "block-level interval mends it and removes this marker")
+def test_full_validate_monte_carlo_check_passes():
+    # The check `ddfwsc validate` runs without --quick, with its own seed and block budget.
+    result = validation._check_formula_vs_simulation()
+    assert result.passed, result.detail
