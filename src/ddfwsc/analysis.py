@@ -56,6 +56,12 @@ def _db_to_power(p0_over_n0_db: float) -> float:
     return p0
 
 
+def _check_variances(sigma_sq) -> None:
+    """ValueError unless every channel variance is finite and >= 0; the message quotes them as given."""
+    if not all(math.isfinite(s) and s >= 0 for s in sigma_sq):
+        raise ValueError(f"channel variances must be finite and >= 0, got {sigma_sq}")
+
+
 @dataclass(frozen=True)
 class ClosedFormContext:
     """Average SNRs and the derived constants used throughout the analysis."""
@@ -98,6 +104,7 @@ class ClosedFormContext:
     @classmethod
     def from_db(cls, p0_over_n0_db: float, sigma_sq=(1.0, 1.0, 1.0)) -> "ClosedFormContext":
         p0 = _db_to_power(p0_over_n0_db)
+        _check_variances(sigma_sq)
         return cls(p0 * sigma_sq[0], p0 * sigma_sq[1], p0 * sigma_sq[2])
 
 

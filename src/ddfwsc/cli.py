@@ -14,6 +14,8 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
+from dataclasses import replace
 
 import numpy as np
 
@@ -191,34 +193,53 @@ def _make_cfg(args, snr_db, beta) -> SimConfig:
                      seed=args.seed, workers=args.workers)
 
 
-def cmd_simulate(args) -> list[dict]:
-    cfg = _make_cfg(args, args.snr_db, args.beta)
-    ctx = ClosedFormContext(*cfg.params.gamma_bars)
-    return [_estimate_record(args.snr_db, est.scheme, cfg.beta_wsc1, est,
-                             SCHEMES[est.scheme].closed_form(cfg.beta_wsc1, ctx))
-            for est in run_simulation(cfg)]
+def _contexts(points: list[SimConfig]) -> list[ClosedFormContext]:
+    """Each point's closed-form context; built before any block is simulated, so a non-finite SNR is exit 2 first."""
+    return [ClosedFormContext(*p.params.gamma_bars) for p in points]
 
 
-def _sweep_records(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> list[dict]:
+def _report(points: list[SimConfig], contexts, results, asymptote: bool = False) -> list[dict]:
+    """One row per point and scheme: the estimate beside the point's beta and closed form.
+
+    With asymptote, the wsc2 rows of unit-variance points carry the WSC2
+    asymptote; it is left empty where it overflows, as closed_form leaves
+    undefined forms.
+    """
     records = []
-    for rec in sweep(cfg, axis, values, optimize_wsc1):
-        snr_db = rec.axis_value if axis == "snr_db" else cfg.params.p0_over_n0_db
-        for est in rec.estimates:
-            asym = rec.asymptotic if est.scheme is SchemeId.WSC2 else None
-            records.append(_estimate_record(snr_db, est.scheme, rec.beta_wsc1, est,
-                                            rec.analytic.get(est.scheme), asym))
+    for cfg, ctx, estimates in zip(points, contexts, results):
+        params = cfg.params
+        asym = None
+        if asymptote and all(s == 1.0 for s in params.sigma_sq) and SchemeId.WSC2 in cfg.schemes:
+            with suppress(ValueError):
+                asym = analysis.aber_asymptotic_wsc2(params.p0)
+        for est in estimates:
+            records.append(_estimate_record(params.p0_over_n0_db, est.scheme, cfg.beta_wsc1, est,
+                                            SCHEMES[est.scheme].closed_form(cfg.beta_wsc1, ctx),
+                                            asym if est.scheme is SchemeId.WSC2 else None))
     return records
 
 
+def cmd_simulate(args) -> list[dict]:
+    cfg = _make_cfg(args, args.snr_db, args.beta)
+    contexts = _contexts([cfg])
+    return _report([cfg], contexts, [run_simulation(cfg)])
+
+
 def cmd_sweep_beta(args) -> list[dict]:
-    return _sweep_records(_make_cfg(args, args.snr_db, 1.0), "beta", parse_range(args.beta))
+    cfg = _make_cfg(args, args.snr_db, 1.0)
+    points = [replace(cfg, beta_wsc1=beta) for beta in parse_range(args.beta)]
+    contexts = _contexts(points)
+    return _report(points, contexts, sweep(points))
 
 
 def cmd_sweep_snr(args) -> list[dict]:
     snrs = parse_range(args.snr_db)
-    cfg = _make_cfg(args, snrs[0], 1.0 if args.beta is None else args.beta)
-    # Without a fixed weight, WSC1 uses the per-point optimum.
-    return _sweep_records(cfg, "snr_db", snrs, optimize_wsc1=args.beta is None)
+    points = [_make_cfg(args, snr_db, 1.0 if args.beta is None else args.beta) for snr_db in snrs]
+    contexts = _contexts(points)
+    if args.beta is None and SchemeId.WSC1 in points[0].schemes:
+        # Without a fixed weight, WSC1 uses the per-point optimum.
+        points = [replace(p, beta_wsc1=analysis.optimize_beta(ctx)[0]) for p, ctx in zip(points, contexts)]
+    return _report(points, contexts, sweep(points), asymptote=True)
 
 
 def cmd_validate(args) -> int:

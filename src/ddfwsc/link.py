@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import _db_to_power
+from .analysis import _check_variances, _db_to_power
 from .combiners import beta_wsc2
 from .fading import sample_blocks
 # Not called here any more; perfbench/tracing.py wraps it under this module's name.
@@ -55,8 +55,7 @@ class SystemParams:
             raise ValueError("block_len must be >= 1")
         if not math.isfinite(self.p0_over_n0_db):
             raise ValueError(f"p0_over_n0_db must be finite, got {self.p0_over_n0_db}")
-        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_sq):
-            raise ValueError(f"channel variances must be finite and >= 0, got {self.sigma_sq}")
+        _check_variances(self.sigma_sq)
         if self.snr_mode not in ("exact", "estimated"):
             raise ValueError(f"snr_mode must be 'exact' or 'estimated', got {self.snr_mode!r}")
 

@@ -1,5 +1,10 @@
 """Monte Carlo harness: paired per-block scheme evaluation with early stopping.
 
+This module simulates; it does not report.  ``run_simulation`` and
+``sweep`` take ready ``SimConfig``s and return ``BerEstimate``s; choosing
+the points of a sweep (a beta grid, an SNR grid, an optimized WSC1 weight)
+and the analytic columns beside the estimates are the CLI's job.
+
 Every block is generated from its own (seed, block_index) stream (see
 ``fading``), so results are bit-exact for a fixed configuration
 regardless of how many workers are used.  The kernel, ``_chunk_errors``,
@@ -47,13 +52,10 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis
-from .analysis import ClosedFormContext
 from .combiners import SCHEMES, SchemeId, lar_bits, wsc_bits
 from .fading import _DrawBuffers, sample_blocks
 from .link import SystemParams, _LinkBuffers, simulate_blocks
@@ -61,7 +63,7 @@ from .link import SystemParams, _LinkBuffers, simulate_blocks
 from .fading import derive_stream  # noqa: F401
 from .link import simulate_block  # noqa: F401
 
-__all__ = ["SimConfig", "BerEstimate", "SweepRecord", "run_simulation", "sweep", "wilson_interval"]
+__all__ = ["SimConfig", "BerEstimate", "run_simulation", "sweep", "wilson_interval"]
 
 _MIN_CHUNK = 64  # blocks
 _CHUNK_USES = 64 * 128  # channel uses: a 64-block chunk at L = 127 (L + 1 symbols a block)
@@ -106,15 +108,6 @@ class BerEstimate:
     ber: float
     ci95_low: float
     ci95_high: float
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    axis_value: float
-    estimates: tuple[BerEstimate, ...]
-    analytic: dict
-    beta_wsc1: float
-    asymptotic: float | None = None
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -283,57 +276,27 @@ def run_simulation(cfg: SimConfig) -> list[BerEstimate]:
     this thread, which frees its chunk workspace before returning.  With
     workers > 1 a process pool opened for this run keeps workers + 1 chunks
     in flight (``_dispatch``); at most that many chunks past the stop are
-    simulated and dropped.
+    simulated and dropped.  It is the one-point sweep: ``sweep([cfg])[0]``.
     """
-    run = _Run(cfg)
-    _dispatch([run], cfg.workers)
-    return run.estimates()
+    return sweep([cfg])[0]
 
 
-def sweep(cfg: SimConfig, axis: str, values, optimize_wsc1: bool = False) -> list[SweepRecord]:
-    """One simulated point per axis value (snr_db or beta), with analytic columns.
+def sweep(points: list[SimConfig]) -> list[list[BerEstimate]]:
+    """Each point's estimates, every point simulated through one ``_dispatch``.
 
-    Each point's estimates are those run_simulation gives for its config.
-    Seeds are offset per axis index so points are independent yet each
-    point stays individually reproducible.  With optimize_wsc1 on the
-    snr_db axis, WSC1 uses each point's optimize_beta weight instead of
-    cfg.beta_wsc1.  Only snr_db records of a unit-variance wsc2 sweep carry
-    the asymptote.  Every point is validated before any is simulated.  All
-    points go to one ``_dispatch`` at once, so with workers > 1 they share
-    one process pool and run side by side: a point with no chunk in flight
-    gets the next one before any point gets a speculative second.
+    Point i runs with seed ``points[i].seed + 10**9 * i``, so points are
+    independent yet each stays reproducible, and a one-point sweep is
+    ``run_simulation``.  Every point must have the same ``workers``
+    (ValueError otherwise), since one dispatch serves them all: with
+    workers > 1 they share one process pool and run side by side, and a
+    point with no chunk in flight gets the next one before any point gets a
+    speculative second.  An empty list is a ValueError.
     """
-    values = list(values)
-    if not values:
-        raise ValueError("values must be nonempty")
-    if any(b >= a for a, b in zip(values[1:], values[:-1])):
-        raise ValueError("values must be strictly increasing")
-    if axis == "snr_db":
-        points = [replace(cfg, params=replace(cfg.params, p0_over_n0_db=v)) for v in values]
-    elif axis == "beta":
-        if optimize_wsc1:
-            raise ValueError("optimize_wsc1 applies to the snr_db axis only")
-        points = [replace(cfg, beta_wsc1=v) for v in values]
-    else:
-        raise ValueError(f"axis must be 'snr_db' or 'beta', got {axis!r}")
-    contexts = [ClosedFormContext(*p.params.gamma_bars) for p in points]
-    if optimize_wsc1 and SchemeId.WSC1 in cfg.schemes:
-        points = [replace(p, beta_wsc1=analysis.optimize_beta(ctx)[0]) for p, ctx in zip(points, contexts)]
-
-    points = [replace(p, seed=cfg.seed + _SWEEP_SEED_STRIDE * idx) for idx, p in enumerate(points)]
-    runs = [_Run(p) for p in points]
-    _dispatch(runs, cfg.workers)
-
-    records = []
-    symmetric = len(set(cfg.params.sigma_sq)) == 1 and cfg.params.sigma_sq[0] == 1.0
-    for value, point, ctx, run in zip(values, points, contexts, runs):
-        analytic = {s: ber for s in cfg.schemes
-                    if (ber := SCHEMES[s].closed_form(point.beta_wsc1, ctx)) is not None}
-        asym = None
-        if axis == "snr_db" and symmetric and SchemeId.WSC2 in cfg.schemes:
-            # Left empty where it overflows, as closed_form leaves undefined forms.
-            with suppress(ValueError):
-                asym = analysis.aber_asymptotic_wsc2(point.params.p0)
-        records.append(SweepRecord(axis_value=value, estimates=tuple(run.estimates()), analytic=analytic,
-                                   beta_wsc1=point.beta_wsc1, asymptotic=asym))
-    return records
+    points = list(points)
+    if not points:
+        raise ValueError("points must be nonempty")
+    if len({p.workers for p in points}) > 1:
+        raise ValueError("every point of a sweep must have the same workers")
+    runs = [_Run(replace(p, seed=p.seed + _SWEEP_SEED_STRIDE * i)) for i, p in enumerate(points)]
+    _dispatch(runs, points[0].workers)
+    return [run.estimates() for run in runs]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -22,9 +23,9 @@ from ddfwsc.analysis import (
     pdf_xi0,
     pdf_xiw,
 )
+from ddfwsc.cli import main
 from ddfwsc.combiners import SCHEMES, SchemeId
 from ddfwsc.link import SystemParams
-from ddfwsc.simulator import SimConfig, sweep
 from ddfwsc.validation import aber_wsc1_by_integration, aber_wsc2_by_integration
 
 
@@ -50,6 +51,15 @@ class TestContext:
     def test_from_db_rejects_non_finite_power(self, db):
         with pytest.raises(ValueError, match="non-finite power"):
             ClosedFormContext.from_db(db)
+
+    @pytest.mark.parametrize("sigma_sq", [(1.0, 1.0, -1.0), (float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0)])
+    def test_from_db_rejects_bad_variances_as_system_params_does(self, sigma_sq):
+        # One check, one message: it names the variances, not the average SNRs derived from them.
+        message = re.escape(f"channel variances must be finite and >= 0, got {sigma_sq}")
+        with pytest.raises(ValueError, match=message):
+            ClosedFormContext.from_db(10.0, sigma_sq)
+        with pytest.raises(ValueError, match=message):
+            SystemParams(p0_over_n0_db=10.0, sigma_sq=sigma_sq)
 
 
 class TestDirectLinkDistributions:
@@ -382,13 +392,13 @@ class TestAberWsc2:
 
     def test_warning_names_the_first_caller_outside_the_package(self):
         # Not the package line that passed the call on (the WSC2 lambda of
-        # the scheme table, or the sweep's analytic column).
+        # the scheme table, or the CLI's analytic column).
         ctx = ClosedFormContext.from_db(100.0)
-        cfg = SimConfig(params=SystemParams(p0_over_n0_db=100.0, block_len=4),
-                        schemes=(SchemeId.WSC2,), max_blocks=2, min_errors=0)
+        argv = ["sweep-snr", "--snr-db", "100", "--schemes", "wsc2", "--blocks", "2", "--block-len", "4",
+                "--min-errors", "0"]
         for call in (lambda: aber_wsc2(ctx),
                      lambda: SCHEMES[SchemeId.WSC2].closed_form(1.0, ctx),
-                     lambda: sweep(cfg, "snr_db", [100.0])):
+                     lambda: main(argv)):
             with pytest.warns(RuntimeWarning, match="outside its checked range") as record:
                 call()
             assert [w.filename for w in record] == [__file__]

@@ -118,6 +118,14 @@ class TestAnalyze:
         proc = run_cli(["analyze", "--scheme", "wsc1"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", [["analyze", "--scheme", "wsc2"], ["simulate", "--blocks", "10"]])
+    def test_bad_variance_names_the_variances(self, command):
+        # Not the derived average SNR (-10.0): the same message as simulate's.
+        proc = run_cli([*command, "--snr-db", "10", "--sigma2", "-1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: channel variances must be finite and >= 0, got (1.0, 1.0, -1.0)\n"
+
     def test_overflowing_power_is_usage_error(self):
         proc = run_cli(["analyze", "--scheme", "sc", "--snr-db", "4000"])
         assert proc.returncode == 2
@@ -263,6 +271,77 @@ class TestSweepCommands:
                    "--blocks", "512", "--block-len", "256", "--workers", workers, "--seed", "3"])
         assert rc == 0
         assert capsys.readouterr().out == (GOLDEN / "sweep_l256.csv").read_text()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_matches_sweep_beta_golden_output(self, capsys, workers):
+        # Four schemes over a log beta grid: the beta and analytic columns per point.
+        rc = main(["sweep-beta", "--beta", "0.1:1:log4", "--snr-db", "20", "--blocks", "64", "--block-len", "16",
+                   "--min-errors", "0", "--seed", "4", "--schemes", "sc,wsc1,wsc2,lar", "--workers", workers])
+        assert rc == 0
+        assert capsys.readouterr().out == (GOLDEN / "sweep_beta.csv").read_text()
+
+    def test_records_carry_wsc1_weight(self, capsys):
+        # Each point's row carries the weight it was simulated with: fixed,
+        # optimized per SNR point, or the point's own beta on a beta sweep.
+        sim = ["--schemes", "wsc1", "--blocks", "20", "--block-len", "16", "--min-errors", "0",
+               "--seed", "5", "--format", "json"]
+        assert main(["sweep-snr", "--snr-db", "5:10:5", "--beta", "0.7", *sim]) == 0
+        assert [r["beta"] for r in json.loads(capsys.readouterr().out)["records"]] == [0.7, 0.7]
+        assert main(["sweep-snr", "--snr-db", "5:10:5", *sim]) == 0
+        for rec in json.loads(capsys.readouterr().out)["records"]:
+            ctx = analysis.ClosedFormContext.from_db(rec["snr_db"])
+            assert rec["beta"] == analysis.optimize_beta(ctx)[0]
+            assert rec["ber_analytic"] == analysis.aber_wsc1(rec["beta"], ctx)
+        assert main(["sweep-beta", "--beta", "0.3:0.6:0.3", "--snr-db", "10", *sim]) == 0
+        assert [r["beta"] for r in json.loads(capsys.readouterr().out)["records"]] == [0.3, 0.6]
+
+    def test_beta_sweep_has_analytic_column(self, capsys):
+        rc = main(["sweep-beta", "--beta", "0.3:0.9:0.3", "--snr-db", "15", "--schemes", "wsc1",
+                   "--blocks", "100", "--block-len", "16", "--min-errors", "0", "--seed", "7", "--format", "json"])
+        assert rc == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["beta"] for r in records] == parse_range("0.3:0.9:0.3")
+        ctx = analysis.ClosedFormContext.from_db(15.0)
+        assert [r["ber_analytic"] for r in records] == [analysis.aber_wsc1(r["beta"], ctx) for r in records]
+        assert all(r["ber_analytic"] > 0 for r in records)
+
+    def test_asymptote_on_the_snr_axis_only(self, capsys):
+        # Only sweep-snr rows of wsc2 at unit variances carry it.
+        sim = ["--schemes", "sc,wsc2", "--blocks", "2", "--block-len", "4", "--min-errors", "0", "--format", "json"]
+
+        def asymptotes(argv):
+            assert main(argv + sim) == 0
+            return [(r["scheme"], r["ber_asymptotic"] is not None)
+                    for r in json.loads(capsys.readouterr().out)["records"]]
+
+        none = [("sc", False), ("wsc2", False)]
+        assert asymptotes(["sweep-snr", "--snr-db", "10:20:10"]) == [("sc", False), ("wsc2", True)] * 2
+        assert asymptotes(["sweep-snr", "--snr-db", "10:20:10", "--sigma1", "4"]) == none * 2
+        assert asymptotes(["sweep-beta", "--beta", "0.5:1:0.5", "--snr-db", "10"]) == none * 2
+        assert asymptotes(["simulate", "--snr-db", "10"]) == none
+
+    def test_invalid_point_rejected_before_any_simulation(self, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("simulated before validating every point")
+
+        monkeypatch.setattr(simulator, "_chunk_errors", fail)
+        cases = [
+            (["sweep-beta", "--beta=-1:1:0.5"], "beta_wsc1 must be finite and > 0, got -1.0"),
+            (["sweep-snr", "--snr-db", "0:4000:4000"], "P0/N0 = 4000.0 dB gives a non-finite power P0"),
+            # The last point's average SNR 1e300 * 1e10 overflows.
+            (["sweep-snr", "--snr-db", "0:3000:3000", "--sigma0", "1e10"], "average SNRs must be finite"),
+            (["simulate", "--snr-db", "3000", "--sigma0", "1e10"], "average SNRs must be finite"),
+            # A dead R-D link has no finite optimal WSC1 weight at any point.
+            (["sweep-snr", "--snr-db", "0:10:10", "--sigma2", "0", "--schemes", "sc,wsc1"],
+             "no finite optimal WSC1 weight"),
+        ]
+        for argv, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--blocks", "10", "--block-len", "4"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {message}"), err
 
     def test_sweep_asymptote_empty_where_it_overflows(self):
         proc = run_cli(["sweep-snr", "--snr-db", "400", "--blocks", "2", "--block-len", "4",

@@ -12,7 +12,7 @@ from ddfwsc import simulator
 from ddfwsc.analysis import ClosedFormContext, aber_wsc1, optimize_beta
 from ddfwsc.combiners import SchemeId
 from ddfwsc.link import SystemParams
-from ddfwsc.simulator import SimConfig, SweepRecord, run_simulation, sweep, wilson_interval
+from ddfwsc.simulator import SimConfig, run_simulation, sweep, wilson_interval
 
 # Per-block error matrices of _chunk_errors(params, all four schemes,
 # beta_wsc1=0.5, seed, start, count), captured from the per-block
@@ -421,63 +421,46 @@ def _recording_pool(events):
     return RecordingPool
 
 
-class TestSweep:
-    def test_empty_and_unsorted_values_rejected(self):
-        cfg = SimConfig(params=SystemParams(p0_over_n0_db=0.0), max_blocks=10)
-        with pytest.raises(ValueError):
-            sweep(cfg, "snr_db", [])
-        with pytest.raises(ValueError):
-            sweep(cfg, "snr_db", [10.0, 5.0])
-        with pytest.raises(ValueError):
-            sweep(cfg, "power", [1.0, 2.0])
+def _snr_points(cfg: SimConfig, snrs) -> list[SimConfig]:
+    return [replace(cfg, params=replace(cfg.params, p0_over_n0_db=snr)) for snr in snrs]
 
-    def test_invalid_point_rejected_before_any_simulation(self, monkeypatch):
+
+class TestSweep:
+    def test_empty_points_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            sweep([])
+
+    def test_points_must_share_workers(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("simulated before validating every point")
+            raise AssertionError("simulated a sweep whose points disagree on workers")
 
         monkeypatch.setattr(simulator, "_chunk_errors", fail)
-        cfg = SimConfig(params=SystemParams(p0_over_n0_db=10.0), max_blocks=10)
-        for values in ([0.5, float("nan")], [0.5, float("inf")], [-1.0, 0.5]):
-            with pytest.raises(ValueError):
-                sweep(cfg, "beta", values)
-        with pytest.raises(ValueError):
-            sweep(cfg, "snr_db", [0.0, float("inf")])
-        with pytest.raises(ValueError):
-            sweep(cfg, "beta", [0.5], optimize_wsc1=True)
-        # A dead R-D link has no finite optimal WSC1 weight at any point.
-        dead = SimConfig(params=SystemParams(p0_over_n0_db=10.0, sigma_sq=(1.0, 1.0, 0.0)),
-                         schemes=(SchemeId.WSC1,), max_blocks=10)
-        with pytest.raises(ValueError, match="no finite optimal WSC1 weight"):
-            sweep(dead, "snr_db", [0.0, 10.0], optimize_wsc1=True)
+        cfg = SimConfig(params=SystemParams(p0_over_n0_db=0.0), max_blocks=10)
+        with pytest.raises(ValueError, match="same workers"):
+            sweep([cfg, replace(cfg, workers=2)])
 
-    def test_records_carry_wsc1_weight(self):
-        params = SystemParams(p0_over_n0_db=0.0, block_len=16)
-        cfg = SimConfig(params=params, schemes=(SchemeId.WSC1,), beta_wsc1=0.7,
-                        max_blocks=20, min_errors=0, seed=5)
-        fixed = sweep(cfg, "snr_db", [5.0, 10.0])
-        assert [r.beta_wsc1 for r in fixed] == [0.7, 0.7]
-        for rec in sweep(cfg, "snr_db", [5.0, 10.0], optimize_wsc1=True):
-            ctx = ClosedFormContext.from_db(rec.axis_value)
-            assert rec.beta_wsc1 == optimize_beta(ctx)[0]
-            assert rec.analytic[SchemeId.WSC1] == aber_wsc1(rec.beta_wsc1, ctx)
-        assert [r.beta_wsc1 for r in sweep(cfg, "beta", [0.3, 0.6])] == [0.3, 0.6]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_simulation_is_a_one_point_sweep(self, workers):
+        cfg = SimConfig(params=SystemParams(p0_over_n0_db=5.0, block_len=16),
+                        schemes=(SchemeId.SC, SchemeId.WSC1, SchemeId.LAR), beta_wsc1=0.4,
+                        max_blocks=500, min_errors=30, seed=3, workers=workers)
+        assert run_simulation(cfg) == sweep([cfg])[0]
+
+    def test_point_seeds_are_offset_by_index(self):
+        cfg = SimConfig(params=SystemParams(p0_over_n0_db=5.0, block_len=16),
+                        max_blocks=100, min_errors=20, seed=4)
+        points = _snr_points(cfg, [0.0, 5.0, 10.0])
+        expected = [run_simulation(replace(p, seed=4 + simulator._SWEEP_SEED_STRIDE * i))
+                    for i, p in enumerate(points)]
+        assert sweep(points) == expected
 
     def test_snr_sweep_wsc2_never_worse_than_sc(self):
         params = SystemParams(p0_over_n0_db=0.0, block_len=128)
         cfg = SimConfig(params=params, schemes=(SchemeId.SC, SchemeId.WSC2),
                         max_blocks=4000, min_errors=300, seed=6)
-        records = sweep(cfg, "snr_db", [0.0, 5.0, 10.0, 15.0, 20.0])
-        for rec in records:
-            by_scheme = {e.scheme: e for e in rec.estimates}
+        for estimates in sweep(_snr_points(cfg, [0.0, 5.0, 10.0, 15.0, 20.0])):
+            by_scheme = {e.scheme: e for e in estimates}
             assert by_scheme[SchemeId.WSC2].ber <= by_scheme[SchemeId.SC].ber
-            assert SchemeId.SC in rec.analytic and SchemeId.WSC2 in rec.analytic
-            assert rec.asymptotic is not None  # symmetric unit variances
-
-    def test_asymptote_on_the_snr_axis_only(self):
-        params = SystemParams(p0_over_n0_db=10.0, block_len=4)
-        cfg = SimConfig(params=params, schemes=(SchemeId.WSC2,), max_blocks=2, min_errors=0)
-        assert all(r.asymptotic is not None for r in sweep(cfg, "snr_db", [10.0, 20.0]))
-        assert [r.asymptotic for r in sweep(cfg, "beta", [0.5, 1.0])] == [None, None]
 
     def test_one_pool_per_sweep(self, monkeypatch):
         pools = []
@@ -491,21 +474,13 @@ class TestSweep:
         params = SystemParams(p0_over_n0_db=0.0, block_len=16)
         cfg = SimConfig(params=params, schemes=(SchemeId.SC, SchemeId.WSC1, SchemeId.WSC2),
                         max_blocks=300, min_errors=40, seed=11)
-        snrs = [0.0, 5.0, 10.0]
-        serial = sweep(cfg, "snr_db", snrs, optimize_wsc1=True)
+        points = [replace(p, beta_wsc1=optimize_beta(ClosedFormContext(*p.params.gamma_bars))[0])
+                  for p in _snr_points(cfg, [0.0, 5.0, 10.0])]
+        serial = sweep(points)
         assert pools == []
-        pooled = sweep(replace(cfg, workers=2), "snr_db", snrs, optimize_wsc1=True)
+        pooled = sweep([replace(p, workers=2) for p in points])
         assert len(pools) == 1
         assert pooled == serial
-
-    def test_beta_sweep_has_analytic_column(self):
-        params = SystemParams(p0_over_n0_db=15.0, block_len=128)
-        cfg = SimConfig(params=params, schemes=(SchemeId.WSC1,),
-                        max_blocks=1500, min_errors=100, seed=7)
-        records = sweep(cfg, "beta", [0.3, 0.6, 1.0])
-        assert [r.axis_value for r in records] == [0.3, 0.6, 1.0]
-        for rec in records:
-            assert rec.analytic[SchemeId.WSC1] > 0
 
     def test_paired_dominance_at_optimum(self):
         # On shared realizations the optimized weight cannot lose to SC by
@@ -531,9 +506,9 @@ class TestDispatch:
         events = []
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", _recording_pool(events))
         cfg = replace(self.CFG, workers=workers)
-        records = sweep(cfg, "snr_db", self.SNRS)
+        results = sweep(_snr_points(cfg, self.SNRS))
         point = {cfg.seed + simulator._SWEEP_SEED_STRIDE * i: i for i in range(len(self.SNRS))}
-        used = [r.estimates[0].bits // cfg.params.block_len for r in records]
+        used = [estimates[0].bits // cfg.params.block_len for estimates in results]
         assert all(u < cfg.max_blocks for u in used)
         # (kind, point, start, count, whether the chunk holds the point's stopping block)
         return [(kind, point[seed], start, count, start < used[point[seed]] <= start + count)
@@ -573,8 +548,8 @@ class TestDispatch:
             assert first_submit < last_fold
 
     def test_records_do_not_depend_on_workers(self):
-        serial = sweep(self.CFG, "snr_db", self.SNRS)
-        blocks = [r.estimates[0].bits // 16 for r in serial]
+        serial = sweep(_snr_points(self.CFG, self.SNRS))
+        blocks = [estimates[0].bits // 16 for estimates in serial]
         assert all(b < self.CFG.max_blocks and b % simulator._chunk_len(16) for b in blocks)
         for workers in (2, 3, 8):
-            assert sweep(replace(self.CFG, workers=workers), "snr_db", self.SNRS) == serial
+            assert sweep(_snr_points(replace(self.CFG, workers=workers), self.SNRS)) == serial
