@@ -7,6 +7,7 @@ seeds so the whole gate is deterministic.
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ from ddfwsc.analysis import (
     aber_wsc2,
     optimize_beta,
 )
-from ddfwsc.combiners import SchemeId, wsc_bits
-from ddfwsc.fading import sample_blocks
-from ddfwsc.link import SystemParams, simulate_blocks
-from ddfwsc.simulator import SimConfig, run_simulation
+from ddfwsc.combiners import SchemeId
+from ddfwsc.link import SystemParams
+from ddfwsc.simulator import SimConfig, run_simulation, sweep
 from ddfwsc.validation import aber_wsc1_by_integration, aber_wsc2_by_integration
 
 
@@ -108,14 +108,12 @@ def test_criterion_5_weight_factor_behavior():
     beta_opt, _ = optimize_beta(ctx)
     grid = np.logspace(np.log10(0.05), np.log10(2.0), 20)
     step = np.log(grid[1] / grid[0])
-    params = SystemParams(p0_over_n0_db=db, block_len=256)
-    errs = np.zeros(len(grid), dtype=np.int64)
-    chunk = 1000  # blocks 0..29999 of seed 1, simulated a chunk at a time
-    for start in range(0, 30_000, chunk):
-        obs = simulate_blocks(params, *sample_blocks(1, np.arange(start, start + chunk),
-                                                     params.sigma_sq, params.block_len))
-        for j, b in enumerate(grid):
-            errs[j] += np.count_nonzero(wsc_bits(obs.xi0, obs.xi2, float(b)) != obs.tx_bits)
+    # One sweep over blocks 0..29999 of seed 1: its points draw each block
+    # once and share one link pass, since they differ only in the weight.
+    cfg = SimConfig(params=SystemParams(p0_over_n0_db=db, block_len=256), schemes=(SchemeId.WSC1,),
+                    max_blocks=30_000, min_errors=0, seed=1)
+    errs = np.array([estimates[0].bit_errors
+                     for estimates in sweep([replace(cfg, beta_wsc1=float(b)) for b in grid])])
     sim_min = grid[int(np.argmin(errs))]
     within = abs(np.log(sim_min / beta_opt)) <= step * 1.0001
     ok = mono and within and errs.min() >= 300

@@ -324,7 +324,7 @@ class TestSweepCommands:
         def fail(*args):
             raise AssertionError("simulated before validating every point")
 
-        monkeypatch.setattr(simulator, "_chunk_errors", fail)
+        monkeypatch.setattr(simulator, "_group_errors", fail)
         cases = [
             (["sweep-beta", "--beta=-1:1:0.5"], "beta_wsc1 must be finite and > 0, got -1.0"),
             (["sweep-snr", "--snr-db", "0:4000:4000"], "P0/N0 = 4000.0 dB gives a non-finite power P0"),
@@ -409,7 +409,7 @@ class TestValidate:
         def not_called(*args):
             pytest.fail("the simulation ran before --out was checked")
 
-        monkeypatch.setattr(simulator, "_chunk_errors", not_called)
+        monkeypatch.setattr(simulator, "_group_errors", not_called)
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--snr-db", "10", "--blocks", "10", "--out", str(target)])

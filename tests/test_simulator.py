@@ -133,20 +133,24 @@ class TestChunkWorkspace:
         (256, "exact", 1 << 20), (256, "estimated", 1 << 20), (4, "exact", 512 << 10)])
     def test_steady_state_chunk_allocates_little(self, block_len, snr_mode, bound):
         # Fresh arrays for every chunk peaked at 4.8 MiB (L = 256, 64 blocks)
-        # and 1.3 MiB (L = 4, 819 blocks).
+        # and 1.3 MiB (L = 4, 819 blocks).  An 11-point group (an SNR sweep)
+        # draws and runs every link pass in the same workspace: each point
+        # adds only its count array.
         params = SystemParams(p0_over_n0_db=10.0, block_len=block_len, snr_mode=snr_mode)
         count = simulator._chunk_len(block_len)
-        tracemalloc.start()
-        try:
-            simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, 1, 0, count)
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            simulator._chunk_errors(params, _ALL_SCHEMES, 0.5, 1, count, count)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-            simulator._local.workspace = None
-        assert peak < bound
+        for n_points in (1, 11):
+            points = [(replace(params, p0_over_n0_db=3.0 * k), _ALL_SCHEMES, 0.5) for k in range(n_points)]
+            tracemalloc.start()
+            try:
+                simulator._group_errors(points, 1, 0, count)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                simulator._group_errors(points, 1, count, count)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+                simulator._local.workspace = None
+            assert peak < bound, n_points
 
     def test_in_process_run_frees_its_workspace(self):
         def run(block_len):
@@ -315,18 +319,18 @@ class TestRunSimulation:
                 assert [(e.bit_errors, e.bits) for e in r] == [(e.bit_errors, e.bits) for e in runs[0]]
 
     def test_stop_wastes_less_than_one_round(self, monkeypatch):
-        chunk_errors = simulator._chunk_errors
+        group_errors = simulator._group_errors
         params = SystemParams(p0_over_n0_db=10.0, block_len=32)
         for workers in (1, 2):
             events = []
 
-            def counting(params, schemes, beta_wsc1, seed, start, count):
+            def counting(points, seed, start, count):
                 events.append(("submit", seed, start, count))
-                return chunk_errors(params, schemes, beta_wsc1, seed, start, count)
+                return group_errors(points, seed, start, count)
 
             with monkeypatch.context() as m:
                 if workers == 1:
-                    m.setattr(simulator, "_chunk_errors", counting)
+                    m.setattr(simulator, "_group_errors", counting)
                 else:
                     m.setattr(simulator, "ProcessPoolExecutor", _recording_pool(events))
                 cfg = SimConfig(params=params, schemes=(SchemeId.SC,), max_blocks=100_000,
@@ -410,11 +414,15 @@ class _Recorded:
 
 
 def _recording_pool(events):
-    """A simulator.ProcessPoolExecutor that logs ("submit"|"result", seed, start, count) per chunk."""
+    """A simulator.ProcessPoolExecutor that logs ("submit"|"result", seed, start, count, snrs) per chunk.
+
+    snrs are the SNRs of the points the chunk is simulated for.
+    """
 
     class RecordingPool(simulator.ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
-            key = args[3:6]  # seed, start, count
+            points, seed, start, count = args
+            key = (seed, start, count, tuple(params.p0_over_n0_db for params, _, _ in points))
             events.append(("submit", *key))
             return _Recorded(super().submit(fn, *args, **kwargs), events, key)
 
@@ -434,7 +442,7 @@ class TestSweep:
         def fail(*args):
             raise AssertionError("simulated a sweep whose points disagree on workers")
 
-        monkeypatch.setattr(simulator, "_chunk_errors", fail)
+        monkeypatch.setattr(simulator, "_group_errors", fail)
         cfg = SimConfig(params=SystemParams(p0_over_n0_db=0.0), max_blocks=10)
         with pytest.raises(ValueError, match="same workers"):
             sweep([cfg, replace(cfg, workers=2)])
@@ -446,13 +454,29 @@ class TestSweep:
                         max_blocks=500, min_errors=30, seed=3, workers=workers)
         assert run_simulation(cfg) == sweep([cfg])[0]
 
-    def test_point_seeds_are_offset_by_index(self):
-        cfg = SimConfig(params=SystemParams(p0_over_n0_db=5.0, block_len=16),
-                        max_blocks=100, min_errors=20, seed=4)
-        points = _snr_points(cfg, [0.0, 5.0, 10.0])
-        expected = [run_simulation(replace(p, seed=4 + simulator._SWEEP_SEED_STRIDE * i))
-                    for i, p in enumerate(points)]
-        assert sweep(points) == expected
+    def test_point_equals_its_one_point_run(self):
+        # Points that share seed, block length and sigma_sq draw each block
+        # once, and consecutive points with equal params share a link pass;
+        # neither moves a count.
+        cfg = SimConfig(params=SystemParams(p0_over_n0_db=5.0, block_len=16), schemes=_ALL_SCHEMES,
+                        beta_wsc1=0.5, max_blocks=600, min_errors=40, seed=4)
+        snr = _snr_points(cfg, [0.0, 5.0, 10.0])
+        beta = [replace(cfg, beta_wsc1=b) for b in (0.2, 0.5, 0.5, 1.0)]
+
+        def at(p, **changes):
+            return replace(p, params=replace(p.params, **changes))
+
+        # Two groups each, interleaved: two block lengths, then two sigma_sq.
+        # Within a group the points stop on min_errors at different blocks,
+        # run to a cap shorter than one chunk, or see the relay SNR another way.
+        lengths = [snr[0], at(snr[1], block_len=4), replace(snr[2], max_blocks=100, min_errors=0),
+                   at(snr[0], block_len=4, p0_over_n0_db=15.0)]
+        variances = [snr[1], at(snr[1], sigma_sq=(1.0, 2.0, 0.5)), at(snr[2], snr_mode="estimated"),
+                     at(snr[0], sigma_sq=(1.0, 2.0, 0.5))]
+        for points in (snr, beta, lengths, variances):
+            expected = [run_simulation(p) for p in points]
+            for workers in (1, 2):
+                assert sweep([replace(p, workers=workers) for p in points]) == expected
 
     def test_snr_sweep_wsc2_never_worse_than_sc(self):
         params = SystemParams(p0_over_n0_db=0.0, block_len=128)
@@ -495,24 +519,39 @@ class TestSweep:
 
 
 class TestDispatch:
-    """One chunk queue serves a whole sweep: points overlap, and no count moves."""
+    """One chunk queue serves a whole sweep: groups overlap, points leave on their stop, and no count moves."""
 
-    # Every point stops mid-chunk on min_errors, after 1 to 7 chunks of 240 blocks.
+    # Three groups, one per seed, of SNR points.  Every point stops mid-chunk
+    # on min_errors, after 1 to 7 chunks of 240 blocks.
     CFG = SimConfig(params=SystemParams(p0_over_n0_db=0.0, block_len=16),
                     schemes=(SchemeId.SC, SchemeId.WSC2), max_blocks=6000, min_errors=150, seed=12)
-    SNRS = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    POINTS = [(12, 0.0), (12, 6.0), (12, 12.0), (13, 2.0), (13, 8.0), (14, 4.0), (14, 10.0)]
+    GROUPS = 3
+
+    def _points(self, cfg: SimConfig) -> list[SimConfig]:
+        return [replace(cfg, seed=seed, params=replace(cfg.params, p0_over_n0_db=snr))
+                for seed, snr in self.POINTS]
 
     def _sweep(self, monkeypatch, workers):
         events = []
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", _recording_pool(events))
         cfg = replace(self.CFG, workers=workers)
-        results = sweep(_snr_points(cfg, self.SNRS))
-        point = {cfg.seed + simulator._SWEEP_SEED_STRIDE * i: i for i in range(len(self.SNRS))}
+        results = sweep(self._points(cfg))
         used = [estimates[0].bits // cfg.params.block_len for estimates in results]
         assert all(u < cfg.max_blocks for u in used)
-        # (kind, point, start, count, whether the chunk holds the point's stopping block)
-        return [(kind, point[seed], start, count, start < used[point[seed]] <= start + count)
-                for kind, seed, start, count in events]
+        group = {seed: g for g, seed in enumerate(dict.fromkeys(seed for seed, _ in self.POINTS))}
+        point = {p: i for i, p in enumerate(self.POINTS)}
+        # (kind, group, start, count, the chunk's points, those whose stopping block it holds)
+        recorded = []
+        for kind, seed, start, count, snrs in events:
+            members = [point[seed, snr] for snr in snrs]
+            recorded.append((kind, group[seed], start, count, members,
+                             {i for i in members if start < used[i] <= start + count}))
+        return recorded
+
+    def _group_points(self) -> list[set]:
+        seeds = list(dict.fromkeys(seed for seed, _ in self.POINTS))
+        return [{i for i, (seed, _) in enumerate(self.POINTS) if seed == s} for s in seeds]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_queue_holds_workers_plus_one_chunks(self, monkeypatch, workers):
@@ -524,32 +563,43 @@ class TestDispatch:
         assert in_flight == 0
 
     def test_second_chunk_only_when_no_run_is_idle(self, monkeypatch):
-        n = len(self.SNRS)
-        in_flight, stopped, speculative = [0] * n, [False] * n, 0
-        for kind, i, _, _, stops in self._sweep(monkeypatch, 2):
+        n = self.GROUPS
+        in_flight, open_points, speculative = [0] * n, self._group_points(), 0
+        for kind, g, _, _, _, stops in self._sweep(monkeypatch, 2):
             if kind == "result":
-                in_flight[i] -= 1
-                stopped[i] |= stops
+                in_flight[g] -= 1
+                open_points[g] -= stops
                 continue
-            if in_flight[i]:
-                # Every other open run already has a chunk in flight, and
-                # the extra chunk goes to the lowest open run.
+            if in_flight[g]:
+                # Every other open group already has a chunk in flight, and
+                # the extra chunk goes to the lowest open group.
                 speculative += 1
-                assert all(stopped[j] or in_flight[j] for j in range(n) if j != i)
-                assert not any(not stopped[j] for j in range(i))
-            in_flight[i] += 1
+                assert all(in_flight[h] or not open_points[h] for h in range(n) if h != g)
+                assert not any(open_points[h] for h in range(g))
+            in_flight[g] += 1
         assert speculative > 0
 
     def test_next_point_starts_before_the_previous_stops(self, monkeypatch):
         events = self._sweep(monkeypatch, 2)
-        for i in range(1, len(self.SNRS)):
-            first_submit = next(k for k, e in enumerate(events) if e[:2] == ("submit", i))
-            last_fold = next(k for k, e in enumerate(events) if e[:2] == ("result", i - 1) and e[4])
-            assert first_submit < last_fold
+        # Each group's first chunk goes out before the previous group's last stop is folded.
+        for g in range(1, self.GROUPS):
+            first_submit = next(k for k, e in enumerate(events) if e[:2] == ("submit", g))
+            last_stop = max(k for k, e in enumerate(events) if e[:2] == ("result", g - 1) and e[5])
+            assert first_submit < last_stop
+        # A point is in every chunk of its group, from the first, until its
+        # stop is folded, and in none after: a stopped point leaves later chunks.
+        open_points, left = self._group_points(), 0
+        for kind, g, _, _, members, stops in events:
+            if kind == "submit":
+                assert set(members) == open_points[g]
+            else:
+                left += bool(stops) and len(open_points[g]) > len(stops)
+                open_points[g] -= stops
+        assert left > 0  # some point stopped while others of its group ran on
 
     def test_records_do_not_depend_on_workers(self):
-        serial = sweep(_snr_points(self.CFG, self.SNRS))
+        serial = sweep(self._points(self.CFG))
         blocks = [estimates[0].bits // 16 for estimates in serial]
         assert all(b < self.CFG.max_blocks and b % simulator._chunk_len(16) for b in blocks)
         for workers in (2, 3, 8):
-            assert sweep(_snr_points(replace(self.CFG, workers=workers), self.SNRS)) == serial
+            assert sweep(self._points(replace(self.CFG, workers=workers))) == serial
