@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "ClosedFormContext",
@@ -415,12 +415,70 @@ def aber_asymptotic_wsc2(p0: float) -> float:
     return num / den
 
 
+class _Poly:
+    """A polynomial in beta as a coefficient array (lowest degree first), for ``_i1`` and ``_i2``.
+
+    Its arithmetic is ``numpy.polynomial.polynomial``'s, called with the
+    operands in the order ``numpy.polynomial.Polynomial`` passes them, so
+    every coefficient is the one a Polynomial would hold, to the bit; it
+    leaves out Polynomial's domain and window bookkeeping, which took most
+    of ``optimize_beta``'s time.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray) -> None:
+        self.c = c
+
+    @staticmethod
+    def _coef(other):
+        return other.c if isinstance(other, _Poly) else other
+
+    def __add__(self, other):
+        return _Poly(P.polyadd(self.c, _Poly._coef(other)))
+
+    def __radd__(self, other):
+        return _Poly(P.polyadd(other, self.c))
+
+    def __sub__(self, other):
+        return _Poly(P.polysub(self.c, _Poly._coef(other)))
+
+    def __rsub__(self, other):
+        return _Poly(P.polysub(other, self.c))
+
+    def __mul__(self, other):
+        return _Poly(P.polymul(self.c, _Poly._coef(other)))
+
+    def __rmul__(self, other):
+        return _Poly(P.polymul(other, self.c))
+
+    def __pow__(self, power: int):
+        return _Poly(P.polypow(self.c, power))
+
+
+def _wsc1_stationary(ctx: ClosedFormContext) -> np.ndarray:
+    """Coefficients (lowest degree first) of N'D - ND', whose positive roots are the WSC1 ABER's stationary points.
+
+    N and D as in ``optimize_beta``.  May raise OverflowError, or hold inf
+    or nan where a coefficient overflows float64.
+    """
+    b = _Poly(np.array([0.0, 1.0]))
+    u1, u2, v0, v2 = ctx.u1, ctx.u2, ctx.v0, ctx.v2
+    n = (u1 * (u2 + v2 * b) * (v0 + b) * (v0 + v2 * b) + b * (_i1(b, ctx) + _i2(b, ctx))).c
+    d = ((1.0 + b) * (1.0 + v2 * b) * (v0 + b) * (v0 + v2 * b)).c
+    return P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
+
+
 def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     """(beta, aber_wsc1(beta, ctx)) at the exact optimum over all beta > 0.
 
     The ABER is N/D up to a constant, with N = u1 (u2 + v2 b)(v0 + b)(v0 + v2 b)
     + b (I1 + I2) and D = (1 + b)(1 + v2 b)(v0 + b)(v0 + v2 b), so the optimum
-    is the best positive real root of N'D - ND'.  Those roots are checked by a
+    is the best positive real root of N'D - ND'.  N, D and N'D - ND' are plain
+    coefficient arrays, lowest degree first (``_wsc1_stationary``, built with
+    ``numpy.polynomial.polynomial``'s polyadd, polymul, polypow and polyder),
+    equal to the bit to what ``numpy.polynomial.Polynomial`` builds; the
+    roots are ``polyroots``' of the last.  Those roots are checked by a
     search on the ABER itself (_searched_optimum), whose result replaces them
     where it is lower by more than 1e-13 relative: with huge or very unequal
     gbar the polynomial's coefficients cancel or span too many decades, and
@@ -433,19 +491,16 @@ def optimize_beta(ctx: ClosedFormContext) -> tuple[float, float]:
     message that says so, as does a gbar so large that the polynomial's
     coefficients overflow float64 (above about 381 dB at unit variances).
     """
-    b = Polynomial([0.0, 1.0])
-    u1, u2, v0, v2 = ctx.u1, ctx.u2, ctx.v0, ctx.v2
+    u1, u2 = ctx.u1, ctx.u2
     at = f"gamma_bar = ({ctx.gbar0:g}, {ctx.gbar1:g}, {ctx.gbar2:g})"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            n = u1 * (u2 + v2 * b) * (v0 + b) * (v0 + v2 * b) + b * (_i1(b, ctx) + _i2(b, ctx))
-            d = (1.0 + b) * (1.0 + v2 * b) * (v0 + b) * (v0 + v2 * b)
-            stationary = n.deriv() * d - n * d.deriv()
+            stationary = _wsc1_stationary(ctx)
     except OverflowError:
         stationary = None
-    if stationary is None or not np.all(np.isfinite(stationary.coef)):
+    if stationary is None or not np.all(np.isfinite(stationary)):
         raise ValueError(f"the WSC1 ABER polynomial overflows float64 at {at}; give a fixed beta")
-    candidates = [r for r in stationary.roots().real.tolist() if r > 0]
+    candidates = [r for r in P.polyroots(stationary).real.tolist() if r > 0]
     # Not decided by the limits: at gbar = (10, 10, 1e-9) the optimum beats the
     # beta -> 0 limit by ~1e-18 relative, as rounding does at (10, 10, 0).
     dead = 0.0 in (ctx.gbar0, ctx.gbar1, ctx.gbar2)

@@ -92,13 +92,14 @@ def beta_wsc2(gamma1, gamma_bar2: float):
 def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta, out=None, work=None) -> np.ndarray:
     """Weighted-selection decisions for whole blocks; beta = 0 allowed.
 
-    beta is one weight, or an (N, 1) array of per-block weights for
-    (N, L) decision variables.  The relay branch is used only where
-    beta*|xi2| beats |xi0|: ties go to the direct link, which carries no
-    error propagation.  Returns booleans, True for a +1 decision; ``out``,
-    a boolean array of xi0's shape, receives them when given, and ``work``,
-    a pair of float arrays of xi0's shape, holds |xi0| and beta*|xi2|
-    instead of fresh arrays.
+    beta is one weight, or an array of weights that broadcasts against the
+    decision variables: (N, 1) per-block weights for (N, L) blocks, or
+    (K, M) for K weights stacked over M gathered bits.  The relay branch
+    is used only where beta*|xi2| beats |xi0|: ties go to the direct link,
+    which carries no error propagation.  Returns booleans of the broadcast
+    shape, True for a +1 decision; ``out`` receives them when given, and
+    ``work``, a pair of float arrays of that shape, holds |xi0| and
+    beta*|xi2| instead of fresh arrays.
     """
     if np.any(np.asarray(beta) < 0):
         raise ValueError(f"beta must be >= 0, got {np.min(beta)}")
@@ -109,6 +110,8 @@ def wsc_bits(xi0: np.ndarray, xi2: np.ndarray, beta, out=None, work=None) -> np.
     # Select the sign of the chosen branch: pos2, flipped where the direct
     # branch is used and its sign differs.
     pos2 = np.greater_equal(xi2, 0)
+    if out is None:
+        out = np.empty(use_direct.shape, dtype=bool)
     positive = np.greater_equal(xi0, 0, out=out)
     positive ^= pos2
     positive &= use_direct

@@ -99,7 +99,8 @@ class _LinkBuffers:
     def __init__(self, count: int, block_len: int) -> None:
         self.relay = np.empty((count, block_len), dtype=bool)  # the relay's decisions
         self.signs = np.empty((count, block_len))  # the +/-1 bits diff_encode multiplies up
-        self.symbols = np.empty((count, block_len + 1))  # the source's, then the relay's symbols
+        # The source's, then the relay's symbols, as complex numbers: diff_encode writes the real parts.
+        self.symbols = np.zeros((count, block_len + 1), dtype=complex)
         # Received signals, each reused once its xi is taken, and the products
         # y(k) y*(k-1) of the direct, relay and LAR branches.
         self.y = np.empty((2, count, block_len + 1), dtype=complex)
@@ -168,7 +169,12 @@ def estimate_relay_snr(y1: np.ndarray, work=None):
 
 
 def _received(gain: np.ndarray, symbols: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """y = gain * s + n for a batch, gain (N,) per block, written into out."""
+    """y = gain * s + n for a batch, gain (N,) per block, written into out.
+
+    symbols are complex with imaginary part 0, so the product needs no
+    cast: float symbols would be cast to complex in a temporary buffer
+    (257 KiB at L = 4), with the same numbers.
+    """
     np.multiply(gain[:, None], symbols, out=out)
     out += noise
     return out
@@ -199,21 +205,21 @@ def simulate_blocks(params: SystemParams, h: np.ndarray, tx_bits: np.ndarray, no
     h0, h1, h2 = h.T
     n0, n1, n2 = noise[:, 0], noise[:, 1], noise[:, 2]
 
-    s = diff_encode(tx_bits, out=symbols, work=signs)
-    xi0 = decision_variables(_received(sqrt_p0 * h0, s, n0, y[0]), out=xi[0])
-    y1 = _received(sqrt_p0 * h1, s, n1, y[1])
+    diff_encode(tx_bits, out=symbols.real, work=signs)
+    xi0 = decision_variables(_received(sqrt_p0 * h0, symbols, n0, y[0]), out=xi[0])
+    y1 = _received(sqrt_p0 * h1, symbols, n1, y[1])
 
     relay_bits = relay_detect(y1, out=relay, work=xi[2])
     if params.snr_mode == "exact":
         gamma1 = p0 * (h1.real ** 2 + h1.imag ** 2)
     else:
         gamma1 = estimate_relay_snr(y1, work=y[0])
-    s_hat = diff_encode(relay_bits, out=symbols, work=signs)
+    diff_encode(relay_bits, out=symbols.real, work=signs)
 
-    xi2 = decision_variables(_received(sqrt_p0 * h2, s_hat, n2, y[0]), out=xi[1])
+    xi2 = decision_variables(_received(sqrt_p0 * h2, symbols, n2, y[0]), out=xi[1])
 
     beta_adaptive = beta_wsc2(gamma1, p0 * params.sigma_sq[2])
-    yL = _received(np.sqrt(beta_adaptive) * sqrt_p0 * h2, s_hat, n2, y[1])
+    yL = _received(np.sqrt(beta_adaptive) * sqrt_p0 * h2, symbols, n2, y[1])
 
     return BlockObservables(
         xi0=xi0,

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 from scipy import integrate
 
 from ddfwsc import analysis
@@ -564,6 +566,22 @@ class TestOptimizeBeta:
                 optimize_beta(ClosedFormContext.from_db(db))
             # 370 dB still has a finite optimum.
             assert optimize_beta(ClosedFormContext.from_db(370.0))[0] > 0
+
+    def test_coefficients_equal_polynomial_objects(self):
+        # optimize_beta builds N'D - ND' on plain coefficient arrays; they must be
+        # the coefficients numpy's Polynomial builds from the same _i1 and _i2, to
+        # the bit, and so must their roots.
+        b = Polynomial([0.0, 1.0])
+        rng = np.random.default_rng(28)
+        for gbars in 10.0 ** rng.uniform(-3.0, 8.0, size=(250, 3)):
+            ctx = ClosedFormContext(*gbars.tolist())
+            u1, u2, v0, v2 = ctx.u1, ctx.u2, ctx.v0, ctx.v2
+            n = u1 * (u2 + v2 * b) * (v0 + b) * (v0 + v2 * b) + b * (analysis._i1(b, ctx) + analysis._i2(b, ctx))
+            d = (1.0 + b) * (1.0 + v2 * b) * (v0 + b) * (v0 + v2 * b)
+            reference = n.deriv() * d - n * d.deriv()
+            got = analysis._wsc1_stationary(ctx)
+            assert np.array_equal(got, reference.coef), gbars
+            assert np.array_equal(P.polyroots(got), reference.roots()), gbars
 
     def test_never_worse_than_sc(self):
         for db in (0, 10, 20, 30):

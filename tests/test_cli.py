@@ -219,6 +219,12 @@ class TestSimulate:
         assert rc == 0
         assert capsys.readouterr().out == (GOLDEN / "simulate_c9.csv").read_text()
 
+    def test_matches_analyze_wsc1_golden_output(self, capsys):
+        # The optimal WSC1 weight and its ABER from -10 to 80 dB; the file pins
+        # optimize_beta's output byte for byte, and CI diffs the installed command too.
+        assert main(["analyze", "--scheme", "wsc1", "--snr-db=-10:80:1"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "analyze_wsc1.csv").read_text()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_matches_short_block_golden_output(self, capsys, workers):
         # L = 4 with an early stop in the middle of a chunk (5846 blocks); the

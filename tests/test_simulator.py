@@ -10,8 +10,8 @@ import pytest
 
 from ddfwsc import simulator
 from ddfwsc.analysis import ClosedFormContext, aber_wsc1, optimize_beta
-from ddfwsc.combiners import SchemeId
-from ddfwsc.link import SystemParams
+from ddfwsc.combiners import SCHEMES, SchemeId
+from ddfwsc.link import BlockObservables, SystemParams
 from ddfwsc.simulator import SimConfig, run_simulation, sweep, wilson_interval
 
 # Per-block error matrices of _chunk_errors(params, all four schemes,
@@ -124,6 +124,65 @@ class TestStreamContract:
             digest.update(got.astype("<i8").tobytes())
         assert len(_GRID) == 288
         assert digest.hexdigest() == _GRID_SHA256
+
+
+def _dense_errors(obs, schemes, beta_wsc1):
+    """Each scheme's per-block errors, every bit decided by the rule as written (not by wsc_bits)."""
+    columns = []
+    for scheme in schemes:
+        weight = SCHEMES[scheme].weight
+        if weight is None:
+            decision = obs.xi0 + obs.xiL >= 0
+        else:
+            w = weight(beta_wsc1, obs.beta_adaptive[:, None])
+            decision = np.where(np.abs(obs.xi0) >= w * np.abs(obs.xi2), obs.xi0 >= 0, obs.xi2 >= 0)
+        columns.append(np.count_nonzero(decision != obs.tx_bits, axis=1))
+    return np.stack(columns, axis=1)
+
+
+def _built_observables(case, count, block_len, seed):
+    """Decision variables on a grid of exact values: zeros, and ties |xi0| = w |xi2| for w in 1, 1/2, 1/4."""
+    rng = np.random.default_rng(seed)
+    shape = (count, block_len)
+    xi = np.zeros((3, count, block_len), dtype=complex)  # real parts of complex arrays, as the link makes them
+    xi[0].real = rng.choice([-2.0, -1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0], size=shape)
+    mag2 = rng.choice([0.5, 1.0, 2.0, 4.0], size=shape)
+    pos0 = xi[0].real >= 0
+    xi[1].real = {"mixed": rng.choice([-1.0, 1.0], size=shape) * rng.choice([0.0, 1.0], size=shape, p=[0.1, 0.9]),
+                  "agree": np.where(pos0, 1.0, -1.0),
+                  "disagree": np.where(pos0, -1.0, 1.0)}[case] * mag2
+    xi[2].real = np.where(rng.random(shape) < 0.2, -xi[0].real, rng.choice([-1.0, 1.0], size=shape))
+    beta_adaptive = rng.choice([0.0, 0.25, 0.5, 1.0, 0.3], size=count)
+    if case == "mixed":
+        beta_adaptive[: count // 2] = 0.0  # gamma1 = 0, or a dead R-D link: the direct branch decides
+    return BlockObservables(xi0=xi[0].real, xi2=xi[1].real, xiL=xi[2].real, gamma1=beta_adaptive,
+                            beta_adaptive=beta_adaptive, relay_bits=rng.random(shape) < 0.5,
+                            tx_bits=rng.random(shape) < 0.5)
+
+
+class TestCountErrors:
+    """The count on the bits where the branches disagree equals every bit decided per scheme."""
+
+    @pytest.mark.parametrize("block_len", [1, 4, 256])
+    @pytest.mark.parametrize("case", ["mixed", "agree", "disagree"])
+    def test_equals_dense_reference(self, case, block_len):
+        count = 37
+        obs = _built_observables(case, count, block_len, seed=block_len)
+        disagree = (obs.xi0 >= 0) != (obs.xi2 >= 0)
+        assert {"agree": not disagree.any(), "disagree": disagree.all(), "mixed": 0 < disagree.mean() < 1}[case]
+        # Exact ties where the branches disagree, for SC's weight and for WSC1's 1/2.
+        for w in (1.0, 0.5):
+            assert case == "agree" or (disagree & (np.abs(obs.xi0) == w * np.abs(obs.xi2))).any()
+        # One link pass shared by several points: a WSC1 weight equal to SC's, and
+        # WSC1 weights that tie with the built values.
+        points = [(_ALL_SCHEMES, 0.5), ((SchemeId.WSC1, SchemeId.SC), 1.0),
+                  ((SchemeId.WSC2, SchemeId.WSC1), 0.25), ((SchemeId.LAR,), 0.5), ((SchemeId.WSC2,), 2.0)]
+        ws = simulator._Workspace(count + 3, block_len)  # a chunk uses the leading rows
+        got = simulator._count_errors(obs, points, ws)
+        assert len(got) == len(points)
+        for (schemes, beta_wsc1), errors in zip(points, got):
+            assert errors.shape == (count, len(schemes))
+            assert np.array_equal(errors, _dense_errors(obs, schemes, beta_wsc1)), (schemes, beta_wsc1)
 
 
 class TestChunkWorkspace:
